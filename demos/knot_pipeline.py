@@ -8,7 +8,7 @@ sphere-tessellation diagram and reads the group relators back off it.
 """
 
 from seifknot import (
-    build_diagram,
+    GluedDiagram,
     diagram_from_seifert,
     knot_from_seifert,
     lens_name,
@@ -33,7 +33,7 @@ def show(n: int, p: int, q: int, l: int) -> None:
           f" (closed form agrees: {lens == cover.ambient})")
 
     params = diagram_from_seifert(n, p, q, l)
-    diagram = build_diagram(params)
+    diagram = GluedDiagram(params)
     counts = diagram.counts()
     print(f"  diagram {params}: vertices/edges/faces/cells = {counts}")
     if diagram.satisfies_cover_criterion():

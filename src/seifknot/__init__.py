@@ -21,7 +21,6 @@ from .dunwoody import (
     GluedDiagram,
     GluingError,
     Tessellation,
-    build_diagram,
     check_seifert_diagram,
     diagram_from_seifert,
     expected_identifications,
@@ -40,7 +39,6 @@ from .freegroup import (
     FreeWord,
     commutator,
     conjugate,
-    cyclic_rotations,
     format_word,
     generator,
     identity,
@@ -105,7 +103,6 @@ __all__ = [
     "alexander_polynomial",
     "band_swap",
     "bareiss_determinant",
-    "build_diagram",
     "check_seifert_diagram",
     "circulant_order",
     "coincident_seifert_params",
@@ -114,7 +111,6 @@ __all__ = [
     "conjugate",
     "count_homomorphisms",
     "cyclic_presentation",
-    "cyclic_rotations",
     "diagram_from_seifert",
     "example_knot_presentation",
     "expected_identifications",

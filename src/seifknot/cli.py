@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Any, Sequence
 
-from .dunwoody import DiagramParams, GluedDiagram, build_diagram, check_seifert_diagram
+from .dunwoody import DiagramParams, GluedDiagram, check_seifert_diagram
 from .foxcalc import alexander_polynomial, example_knot_presentation
 from .homology import cokernel, first_homology
 from .knots11 import (
@@ -29,7 +29,7 @@ from .presentations import (
     standard_seifert_presentation,
     tietze_witnesses,
 )
-from .verify import DEFAULT_BUDGET, run_all
+from .verify import DEFAULT_BUDGET, GATE_GRID, run_all
 
 
 def _emit(args: argparse.Namespace, data: dict[str, Any], human: str) -> None:
@@ -44,6 +44,23 @@ def _load_json(path: str) -> Any:
         return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _load_int_matrix(path: str) -> list[list[int]]:
+    """A non-empty rectangular JSON list of rows of integers; anything
+    else (floats, booleans, strings, ragged rows) is rejected, not coerced."""
+    rows = _load_json(path)
+    if not isinstance(rows, list) or not rows or not all(
+        isinstance(row, list) for row in rows
+    ):
+        raise ValueError("expected a non-empty JSON list of matrix rows")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
+    for row in rows:
+        for x in row:
+            if type(x) is not int:  # bool is a subclass of int
+                raise ValueError(f"matrix entry {json.dumps(x)} is not an integer")
+    return rows
 
 
 def _group_payload(group) -> dict[str, Any]:
@@ -97,9 +114,7 @@ def cmd_tietze(args: argparse.Namespace) -> int:
 
 def cmd_homology(args: argparse.Namespace) -> int:
     if args.source == "matrix":
-        rows = _load_json(args.file)
-        if not isinstance(rows, list) or not rows:
-            raise ValueError("expected a non-empty JSON list of matrix rows")
+        rows = _load_int_matrix(args.file)
         group = cokernel(rows, len(rows[0]))
         label = "cokernel"
     else:
@@ -178,7 +193,7 @@ def _edge_classes_lines(diagram: GluedDiagram) -> list[str]:
 def cmd_dunwoody(args: argparse.Namespace) -> int:
     if args.action == "check":
         report = check_seifert_diagram(args.n, args.p, args.q, args.l)
-        diagram = build_diagram(report.params)
+        diagram = report.diagram
         data: dict[str, Any] = {
             "params": [
                 report.params.a,
@@ -203,7 +218,7 @@ def cmd_dunwoody(args: argparse.Namespace) -> int:
         ok = report.criterion and report.relators_match
     else:
         params = DiagramParams(args.a, args.b, args.c, args.n, args.r, args.s)
-        diagram = build_diagram(params)
+        diagram = GluedDiagram(params)
         counts = diagram.counts()
         criterion = diagram.satisfies_cover_criterion()
         data = {
@@ -392,9 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify-all", help="run every built-in check")
     verify.add_argument("--fail-fast", action="store_true")
-    verify.add_argument("--nmax", type=int, default=5)
-    verify.add_argument("--pmax", type=int, default=7)
-    verify.add_argument("--lmax", type=int, default=3)
+    for flag, default in zip(("--nmax", "--pmax", "--lmax"), GATE_GRID):
+        verify.add_argument(flag, type=int, default=default)
     verify.set_defaults(func=cmd_verify_all)
 
     return parser

@@ -17,7 +17,7 @@ read-off against the expected defining word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 from .freegroup import FreeWord, seifert_word
@@ -35,51 +35,37 @@ class GluingError(ValueError):
     """The face pairing forces an edge onto its own reverse (non-manifold)."""
 
 
-class _DSU:
-    def __init__(self, items: Iterable[Hashable]):
-        self.parent: dict[Hashable, Hashable] = {x: x for x in items}
-
-    def find(self, x: Hashable) -> Hashable:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: Hashable, y: Hashable) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def classes(self) -> dict[Hashable, list[Hashable]]:
-        out: dict[Hashable, list[Hashable]] = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
-
 class _ParityDSU:
-    """Union-find that tracks a relative orientation bit per element."""
+    """Union-find that tracks a relative orientation bit per element.
+
+    Vertex unions leave the bit at its default 0; edge unions record
+    whether the two edges are glued with or against their orientations.
+    """
 
     def __init__(self, items: Iterable[Hashable]):
         self.parent: dict[Hashable, Hashable] = {x: x for x in items}
         self.parity: dict[Hashable, int] = {x: 0 for x in self.parent}
 
     def find(self, x: Hashable) -> tuple[Hashable, int]:
+        parent = self.parent
+        up = parent[x]
+        if up == x:
+            return x, 0
+        if parent[up] == up:  # compressed path: x hangs off its root
+            return up, self.parity[x]
         path = []
-        while self.parent[x] != x:
+        while parent[x] != x:
             path.append(x)
-            x = self.parent[x]
+            x = parent[x]
         root = x
         par = 0
         for node in reversed(path):
             par ^= self.parity[node]
-            self.parent[node] = root
+            parent[node] = root
             self.parity[node] = par
         return root, par
 
-    def union(self, x: Hashable, y: Hashable, rel: int) -> None:
+    def union(self, x: Hashable, y: Hashable, rel: int = 0) -> None:
         """Record orientation(x) = orientation(y) xor rel."""
         rx, px = self.find(x)
         ry, py = self.find(y)
@@ -91,6 +77,27 @@ class _ParityDSU:
             return
         self.parent[ry] = rx
         self.parity[ry] = px ^ rel ^ py
+
+    def roots(self) -> list[Hashable]:
+        """One representative per class, in order of first appearance."""
+        return list(dict.fromkeys(self.find(x)[0] for x in self.parent))
+
+    def locate(self, order: Iterable[Hashable]) -> dict[Hashable, tuple[int, int]]:
+        """Element -> (class index, parity): classes are indexed by first
+        appearance in the given order, and parities are re-anchored to the
+        first element of each class so the orientation baseline is stable.
+        """
+        index: dict[Hashable, int] = {}
+        anchor_parity: list[int] = []
+        location: dict[Hashable, tuple[int, int]] = {}
+        for x in order:
+            root, par = self.find(x)
+            if root not in index:
+                index[root] = len(anchor_parity)
+                anchor_parity.append(par)
+            idx = index[root]
+            location[x] = (idx, par ^ anchor_parity[idx])
+        return location
 
 
 class Tessellation:
@@ -119,7 +126,7 @@ class Tessellation:
         for i in range(1, n + 1):
             raw.extend(("mv", i, h) for h in range(1, 2 * a + b))
             raw.extend(("av", i, t) for t in range(1, c))
-        self._vertex_dsu = _DSU(raw)
+        self._vertex_dsu = _ParityDSU(raw)
         if c == 0:
             for i in range(1, n + 1):
                 self._vertex_dsu.union(
@@ -136,12 +143,10 @@ class Tessellation:
                 tail = self._arc_vertex(i, j - 1)
                 head = self._arc_vertex(i, j)
             self._endpoints[e] = (
-                self._vertex_dsu.find(tail),
-                self._vertex_dsu.find(head),
+                self._vertex_dsu.find(tail)[0],
+                self._vertex_dsu.find(head)[0],
             )
-        self.vertices: list[Vertex] = sorted(
-            self._vertex_dsu.classes(), key=repr
-        )
+        self.vertices: list[Vertex] = sorted(self._vertex_dsu.roots(), key=repr)
         self._check_boundaries()
         if self.euler_characteristic() != 2:
             raise ValueError(
@@ -229,13 +234,13 @@ class Tessellation:
             ):
                 if len(cycle) != self.cycle_length:
                     raise AssertionError("boundary length mismatch")
-                here = self._vertex_dsu.find(base)
+                here = self._vertex_dsu.find(base)[0]
                 for slot in cycle:
                     start, end = self._slot_ends(slot)
                     if start != here:
                         raise AssertionError("boundary cycle does not chain")
                     here = end
-                if here != self._vertex_dsu.find(base):
+                if here != self._vertex_dsu.find(base)[0]:
                     raise AssertionError("boundary cycle does not close")
 
 
@@ -275,7 +280,7 @@ class GluedDiagram:
         n, r, s = params.n, params.r, params.s
 
         edge_dsu = _ParityDSU(tess.edges)
-        vertex_dsu = _DSU(tess.vertices)
+        vertex_dsu = _ParityDSU(tess.vertices)
         for j in range(1, n + 1):
             upper = tess.upper_boundary(j)
             partner = ((j + s - 1) % n) + 1
@@ -289,23 +294,13 @@ class GluedDiagram:
                     tess.corner(upper, x), tess.corner(lower, (r - x) % L)
                 )
 
-        self.vertex_class_count = len(vertex_dsu.classes())
-        # classes indexed by first appearance; parities re-anchored to the
-        # first edge of each class so the orientation baseline is stable
-        self.edge_location: dict[Edge, tuple[int, int]] = {}
+        self.vertex_class_count = len(vertex_dsu.roots())
+        self.edge_location: dict[Edge, tuple[int, int]] = edge_dsu.locate(tess.edges)
         self.edge_classes: list[list[tuple[Edge, int]]] = []
-        root_index: dict[Hashable, int] = {}
-        anchor_parity: list[int] = []
-        for e in tess.edges:
-            root, par = edge_dsu.find(e)
-            if root not in root_index:
-                root_index[root] = len(self.edge_classes)
+        for e, (idx, rel) in self.edge_location.items():
+            if idx == len(self.edge_classes):
                 self.edge_classes.append([])
-                anchor_parity.append(par)
-            idx = root_index[root]
-            rel = par ^ anchor_parity[idx]
             self.edge_classes[idx].append((e, rel))
-            self.edge_location[e] = (idx, rel)
 
     def counts(self) -> tuple[int, int, int, int]:
         """(vertex classes, edge classes, faces, 3-cells) after gluing."""
@@ -325,27 +320,25 @@ class GluedDiagram:
         the read-off to present the branched cover."""
         return self.vertex_class_count == 1 and len(self.edge_classes) == self.params.n
 
-    def _generator_labels(self) -> dict[int, int]:
-        """Map edge-class index -> generator index 1..n. Prefer labeling by
-        the first bottom edge of each meridian; fall back to class order.
-        """
-        n = self.params.n
-        firsts = [self.edge_location[("m", i, 1)][0] for i in range(1, n + 1)]
-        if len(set(firsts)) == n:
-            return {cls: i + 1 for i, cls in enumerate(firsts)}
-        return {idx: idx + 1 for idx in range(len(self.edge_classes))}
-
     def read_off_words(self) -> list[FreeWord]:
         """One relator per upper face, walking the boundary from the
         anchor corner; each slot contributes its edge-class generator with
-        the sign of the traversal relative to the class orientation."""
+        the sign of the traversal relative to the class orientation.
+        Generator x_i labels the class of the first (bottom) edge of
+        meridian i, so those n edges must lie in n distinct classes."""
         n = self.params.n
         if len(self.edge_classes) != n:
             raise GluingError(
                 f"read-off needs exactly {n} edge classes, "
                 f"got {len(self.edge_classes)}"
             )
-        labels = self._generator_labels()
+        firsts = [self.edge_location[("m", i, 1)][0] for i in range(1, n + 1)]
+        if len(set(firsts)) != n:
+            raise GluingError(
+                "the first edges of the meridians do not lie in distinct "
+                "edge classes, so they cannot label the generators"
+            )
+        labels = {cls: i + 1 for i, cls in enumerate(firsts)}
         tess = self.tessellation
         L = tess.cycle_length
         start = self.params.a + self.params.c if self.params.s == 0 else self.params.a
@@ -360,10 +353,6 @@ class GluedDiagram:
                 syllables.append((labels[cls], exp))
             words.append(FreeWord(n, syllables))
         return words
-
-
-def build_diagram(params: DiagramParams) -> GluedDiagram:
-    return GluedDiagram(params)
 
 
 def diagram_from_seifert(n: int, p: int, q: int, l: int) -> DiagramParams:
@@ -410,50 +399,22 @@ def edge_partition_from_pairs(
     """
     dsu = _ParityDSU(edges)
     for u, v in pairs:
-        dsu.union(u, v, rel=0)
-    location: dict[Edge, tuple[int, int]] = {}
-    index: dict[Hashable, int] = {}
-    anchor_parity: dict[int, int] = {}
-    for e in edges:
-        root, par = dsu.find(e)
-        if root not in index:
-            index[root] = len(index)
-            anchor_parity[index[root]] = par
-        idx = index[root]
-        location[e] = (idx, par ^ anchor_parity[idx])
-    return location
+        dsu.union(u, v)
+    return dsu.locate(edges)
 
 
 def read_off_matches_cyclic(words: Sequence[FreeWord], w: FreeWord) -> bool:
     """Do the read-off relators present the cyclic presentation of w?
 
-    Fast path: after some uniform relabeling shift, face i reads exactly
-    the i-th shifted defining word. Fallback: compare rotation- and
-    inversion-insensitive canonical forms as multisets, under every
-    relabeling shift; this absorbs anchor and orientation conventions.
+    True when, after some uniform relabeling shift k, face i reads exactly
+    the (k + i)-th shift of the defining word.
     """
     n = w.n
     if len(words) != n:
         return False
-    for k0 in range(n):
-        if all(words[i] == w.shift(k0 + i) for i in range(n)):
-            return True
-
-    def canon(u: FreeWord) -> tuple:
-        best = None
-        for v in (u, u.inverse()):
-            letters = list(v.letters())
-            for k in range(max(1, len(letters))):
-                rot = tuple(letters[k:] + letters[:k])
-                if best is None or rot < best:
-                    best = rot
-        return best if best is not None else ()
-
-    targets = sorted(canon(w.shift(k)) for k in range(n))
-    for t in range(n):
-        if sorted(canon(u.shift(t)) for u in words) == targets:
-            return True
-    return False
+    return any(
+        all(words[i] == w.shift(k + i) for i in range(n)) for k in range(n)
+    )
 
 
 @dataclass(frozen=True)
@@ -464,17 +425,18 @@ class DiagramReport:
     counts: tuple[int, int, int, int]
     criterion: bool
     relators_match: bool
+    diagram: GluedDiagram = field(compare=False, repr=False)
 
 
 def check_seifert_diagram(n: int, p: int, q: int, l: int) -> DiagramReport:
     """Build the diagram for (n, p, q, l), test the one-vertex/n-edge
     criterion, and compare the read-off relators with the defining word."""
     params = diagram_from_seifert(n, p, q, l)
-    diagram = build_diagram(params)
+    diagram = GluedDiagram(params)
     criterion = diagram.satisfies_cover_criterion()
     match = False
     if criterion:
         match = read_off_matches_cyclic(
             diagram.read_off_words(), seifert_word(n, p, q, l)
         )
-    return DiagramReport(params, diagram.counts(), criterion, match)
+    return DiagramReport(params, diagram.counts(), criterion, match, diagram)

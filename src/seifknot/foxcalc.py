@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .freegroup import FreeWord
-from .homology import _pseudo_remainder, _trim
+from .homology import poly_gcd
 from .presentations import Presentation
 
 
@@ -131,48 +130,13 @@ ONE = LaurentPoly.monomial(1)
 # -- gcd ----------------------------------------------------------------------
 
 
-def _content(coeffs: Sequence[int]) -> int:
-    out = 0
-    for c in coeffs:
-        out = gcd(out, c)
-    return out
-
-
-def _primitive(coeffs: list[int]) -> list[int]:
-    cont = _content(coeffs)
-    return [c // cont for c in coeffs] if cont else list(coeffs)
-
-
-def _int_poly_gcd(f: list[int], g: list[int]) -> list[int]:
-    """Gcd in Z[t] via primitive pseudo-remainder sequences; the result
-    has a positive leading coefficient."""
-    f, g = _trim(list(f)), _trim(list(g))
-    if not f:
-        f, g = g, f
-    if not g:
-        out = list(f)
-    else:
-        cont = gcd(_content(f), _content(g))
-        f, g = _primitive(f), _primitive(g)
-        while g:
-            if len(f) < len(g):
-                f, g = g, f
-                continue
-            r = _primitive(_trim(_pseudo_remainder(f, g)))
-            f, g = g, r
-        out = [cont * c for c in f]
-    if out and out[-1] < 0:
-        out = [-c for c in out]
-    return out
-
-
 def laurent_gcd(polys: Sequence[LaurentPoly]) -> LaurentPoly:
     """Gcd up to units +-t^k, returned in normalized form."""
     acc: list[int] = []
     for p in polys:
         if p.is_zero():
             continue
-        acc = _int_poly_gcd(acc, list(p.coeffs))
+        acc = poly_gcd(acc, list(p.coeffs))
         if acc == [1]:
             break
     return LaurentPoly(0, acc).normalized()

@@ -133,16 +133,6 @@ def commutator(a: FreeWord, b: FreeWord) -> FreeWord:
     return a.inverse() * b.inverse() * a * b
 
 
-def cyclic_rotations(w: FreeWord) -> list[FreeWord]:
-    """All rotations of w at letter granularity (conjugates by prefixes)."""
-    letters = list(w.letters())
-    out = []
-    for k in range(max(1, len(letters))):
-        rotated = letters[k:] + letters[:k]
-        out.append(FreeWord(w.n, rotated))
-    return out
-
-
 def seifert_word(n: int, p: int, q: int, l: int) -> FreeWord:
     """Defining word (x1^q x2^q ... xn^q)^l xn^-p of the cyclic presentation
     attached to the parameters (n, p, q, l).

@@ -2,9 +2,10 @@
 
 Everything here runs over Z with arbitrary precision: Smith normal form
 with unimodular certificates, a fraction-free determinant used to re-verify
-those certificates, and resultants for the circulant shortcut that computes
-the abelianization order of a cyclic presentation straight from the
-exponent vector of its defining word.
+those certificates, and integer polynomials as coefficient lists: the gcd
+that the Alexander polynomial needs, and resultants for the circulant
+shortcut that computes the abelianization order of a cyclic presentation
+straight from the exponent vector of its defining word.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def first_homology(pres: Presentation) -> AbelianGroup:
     return cokernel(pres.relation_matrix(), pres.num_generators)
 
 
-# -- resultants and circulants ------------------------------------------------
+# -- integer polynomials: gcd, resultants and circulants ---------------------
 
 
 def _trim(coeffs: list[int]) -> list[int]:
@@ -281,6 +282,41 @@ def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
         else:
             r = [lc * x for x in r]
     return r
+
+
+def _content(coeffs: Sequence[int]) -> int:
+    out = 0
+    for c in coeffs:
+        out = gcd(out, c)
+    return out
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    cont = _content(coeffs)
+    return [c // cont for c in coeffs] if cont else list(coeffs)
+
+
+def poly_gcd(f: list[int], g: list[int]) -> list[int]:
+    """Gcd in Z[t] via primitive pseudo-remainder sequences; the result
+    has a positive leading coefficient."""
+    f, g = _trim(list(f)), _trim(list(g))
+    if not f:
+        f, g = g, f
+    if not g:
+        out = list(f)
+    else:
+        cont = gcd(_content(f), _content(g))
+        f, g = _primitive(f), _primitive(g)
+        while g:
+            if len(f) < len(g):
+                f, g = g, f
+                continue
+            r = _primitive(_trim(_pseudo_remainder(f, g)))
+            f, g = g, r
+        out = [cont * c for c in f]
+    if out and out[-1] < 0:
+        out = [-c for c in out]
+    return out
 
 
 def resultant(f: Sequence[int], g: Sequence[int]) -> int:
@@ -311,9 +347,7 @@ def resultant(f: Sequence[int], g: Sequence[int]) -> int:
         r = _pseudo_remainder(a, b)
         if not r:
             return 0
-        content = 0
-        for c in r:
-            content = gcd(content, c)
+        content = _content(r)
         r = [c // content for c in r]
         dr = len(r) - 1
         if (da * db) % 2:

@@ -101,13 +101,6 @@ def band_swap(k: KnotParams) -> KnotParams:
     return KnotParams(k.a, k.c, k.b, k.r)
 
 
-def reflect(k: KnotParams) -> KnotParams:
-    """Mirror a diagram with empty middle band: only the twist moves."""
-    if k.b:
-        raise ValueError("reflection needs an empty middle band")
-    return swap(band_swap(k))
-
-
 Trace = list[tuple[str, KnotParams]]
 
 

@@ -168,11 +168,6 @@ def tietze_witnesses(
     return out
 
 
-def check_tietze(n: int, p: int, q: int, l: int) -> bool:
-    """True when every rewriting witness for (n, p, q, l) is an identity."""
-    return all(lhs == rhs for _, lhs, rhs in tietze_witnesses(n, p, q, l))
-
-
 def seifert_parameter_grid(
     n_max: int = 6, p_max: int = 7, l_max: int = 3
 ) -> list[tuple[int, int, int, int]]:

@@ -14,8 +14,8 @@ from time import perf_counter
 from typing import Callable, Iterable
 
 from .dunwoody import (
+    GluedDiagram,
     check_seifert_diagram,
-    build_diagram,
     diagram_from_seifert,
     edge_partition_from_pairs,
     expected_identifications,
@@ -55,6 +55,9 @@ from .presentations import (
 
 DEFAULT_BUDGET = 10_000_000
 
+# (n_max, p_max, l_max) of the acceptance gate and of verify-all's defaults
+GATE_GRID = (6, 7, 3)
+
 EXAMPLE_ALEXANDER = LaurentPoly(0, (1, -4, 5, -4, 1))
 
 
@@ -67,7 +70,7 @@ def check_alexander_example() -> tuple[bool, str]:
 
 
 def check_tietze_grid(
-    n_max: int = 6, p_max: int = 7, l_max: int = 3
+    n_max: int = GATE_GRID[0], p_max: int = GATE_GRID[1], l_max: int = GATE_GRID[2]
 ) -> tuple[bool, str]:
     """Every rewriting witness is a free-group identity, over the grid."""
     grid = seifert_parameter_grid(n_max, p_max, l_max)
@@ -85,7 +88,7 @@ def check_tietze_grid(
 
 
 def check_homology_grid(
-    n_max: int = 6, p_max: int = 7, l_max: int = 3
+    n_max: int = GATE_GRID[0], p_max: int = GATE_GRID[1], l_max: int = GATE_GRID[2]
 ) -> tuple[bool, str]:
     """Both presentations abelianize identically; the circulant shortcut
     agrees; two pinned values hold."""
@@ -111,7 +114,7 @@ def check_homology_grid(
 
 
 def check_diagram_grid(
-    n_max: int = 6, p_max: int = 7, l_max: int = 3
+    n_max: int = GATE_GRID[0], p_max: int = GATE_GRID[1], l_max: int = GATE_GRID[2]
 ) -> tuple[bool, str]:
     """Every diagram on the grid has counts (1, n, n, 1) and reads off the
     cyclic presentation's relators."""
@@ -127,7 +130,7 @@ def check_diagram_grid(
 
 
 def check_identification_rules(
-    n_max: int = 6, p_max: int = 7, l_max: int = 3
+    n_max: int = GATE_GRID[0], p_max: int = GATE_GRID[1], l_max: int = GATE_GRID[2]
 ) -> tuple[bool, str]:
     """On the aligned branch, the glued edge identifications are exactly
     the two closed-form families, orientations included."""
@@ -136,7 +139,7 @@ def check_identification_rules(
         params = diagram_from_seifert(*point)
         if params.s != 0 or params.r != params.a + params.c:
             return False, f"unexpected gluing data {params} at {point}"
-        diagram = build_diagram(params)
+        diagram = GluedDiagram(params)
         pairs = expected_identifications(params.a, params.b, params.c, params.n)
         if len(pairs) != params.n * diagram.tessellation.cycle_length:
             return False, f"rule count off at {point}"
@@ -195,7 +198,7 @@ def check_lens_closed_forms(limit: int = 12) -> tuple[bool, str]:
 
 
 def check_parameter_consistency(
-    n_max: int = 6, p_max: int = 7, l_max: int = 3
+    n_max: int = GATE_GRID[0], p_max: int = GATE_GRID[1], l_max: int = GATE_GRID[2]
 ) -> tuple[bool, str]:
     """The knot attached to each grid point reduces to its stated ambient
     space, and the coincident-parameter pairs match their closed forms and
@@ -402,9 +405,9 @@ def run_named_check(name: str, fn: CheckFn) -> CheckResult:
 
 
 def run_all(
-    n_max: int = 6,
-    p_max: int = 7,
-    l_max: int = 3,
+    n_max: int = GATE_GRID[0],
+    p_max: int = GATE_GRID[1],
+    l_max: int = GATE_GRID[2],
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
     fail_fast: bool = False,

@@ -3,7 +3,7 @@ budget, printing a PASS/FAIL line so the run is auditable from the log."""
 
 import pytest
 
-from seifknot.verify import DEFAULT_BUDGET, _named_checks, run_named_check
+from seifknot.verify import DEFAULT_BUDGET, GATE_GRID, _named_checks, run_named_check
 
 TIME_BOUNDS = {
     "alexander-example": 1.0,
@@ -18,7 +18,7 @@ TIME_BOUNDS = {
     "property-suite": 30.0,
 }
 
-CHECKS = _named_checks(n_max=6, p_max=7, l_max=3, seed=0, budget=DEFAULT_BUDGET)
+CHECKS = _named_checks(*GATE_GRID, seed=0, budget=DEFAULT_BUDGET)
 
 
 def test_every_check_has_a_bound():

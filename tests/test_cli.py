@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from seifknot.cli import main
+from seifknot.cli import build_parser, main
+from seifknot.verify import GATE_GRID
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +77,25 @@ def test_homology_matrix_rejects_bad_file(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "rows,bad",
+    [
+        ([[1.5, 2], [3, 4]], "1.5"),
+        ([[True, 2], [3, 4]], "true"),
+        ([[1, 2], [3, "4"]], '"4"'),
+        ([1, 2], "list of matrix rows"),
+        ([[1, 2], [3]], "ragged"),
+    ],
+    ids=["float", "bool", "string", "flat", "ragged"],
+)
+def test_homology_matrix_rejects_non_integer_entries(tmp_path, capsys, rows, bad):
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps(rows))
+    code, out, err = run_cli(capsys, "homology", "matrix", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and bad in err
+
+
 def test_knot_from_seifert(capsys):
     code, out, _ = run_cli(capsys, "--json", "knot", "from-seifert", "2", "3", "2", "2")
     data = json.loads(out)
@@ -134,6 +154,54 @@ def test_dunwoody_raw(capsys):
     assert code == 1 and "error" in err
 
 
+# edge classes of D(2,2,1,3,3,0), the diagram of (3,5,2,1), as the CLI lists them
+D221330_EDGE_CLASSES = [
+    [[["m", 1, 1], 1], [["m", 1, 2], 1], [["m", 2, 5], 1], [["m", 2, 6], 1],
+     [["m", 3, 3], 1], [["m", 3, 4], 1], [["a", 2, 1], 1]],
+    [[["m", 1, 3], 1], [["m", 1, 4], 1], [["m", 2, 1], 1], [["m", 2, 2], 1],
+     [["m", 3, 5], 1], [["m", 3, 6], 1], [["a", 3, 1], 1]],
+    [[["m", 1, 5], 1], [["m", 1, 6], 1], [["m", 2, 3], 1], [["m", 2, 4], 1],
+     [["m", 3, 1], 1], [["m", 3, 2], 1], [["a", 1, 1], 1]],
+]
+
+PINNED_DUNWOODY_JSON = {
+    "check 3 5 2 1 --edges": {
+        "counts": [1, 3, 3, 1],
+        "criterion": True,
+        "edge_classes": D221330_EDGE_CLASSES,
+        "params": [2, 2, 1, 3, 3, 0],
+        "relators_match": True,
+    },
+    "check 2 3 2 2 --edges": {
+        "counts": [1, 2, 2, 1],
+        "criterion": True,
+        "edge_classes": [
+            [[["m", 1, 1], 1], [["m", 1, 2], 1], [["m", 1, 3], 1],
+             [["a", 1, 1], -1], [["a", 1, 2], -1], [["a", 2, 3], -1], [["a", 2, 4], -1]],
+            [[["m", 2, 1], 1], [["m", 2, 2], 1], [["m", 2, 3], 1],
+             [["a", 1, 3], -1], [["a", 1, 4], -1], [["a", 2, 1], -1], [["a", 2, 2], -1]],
+        ],
+        "params": [1, 1, 4, 2, 1, 1],
+        "relators_match": True,
+    },
+    "raw 2 2 1 3 3 0 --edges": {
+        "counts": [1, 3, 3, 1],
+        "criterion": True,
+        "edge_classes": D221330_EDGE_CLASSES,
+        "params": [2, 2, 1, 3, 3, 0],
+        "relators": ["x1^2 x2^2 x3^-3", "x2^2 x3^2 x1^-3", "x3^2 x1^2 x2^-3"],
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_DUNWOODY_JSON))
+def test_dunwoody_json_is_pinned(capsys, command):
+    code, out, err = run_cli(capsys, "--json", "dunwoody", *command.split())
+    assert (code, err) == (0, "")
+    expected = json.dumps(PINNED_DUNWOODY_JSON[command], indent=2, sort_keys=True)
+    assert out == expected + "\n"
+
+
 def test_alexander_example(capsys):
     code, out, _ = run_cli(capsys, "--json", "alexander", "--example")
     data = json.loads(out)
@@ -167,6 +235,11 @@ def test_verify_all_small_grid(capsys):
     assert data["all_passed"]
     assert len(data["checks"]) == 10
     assert {c["name"] for c in data["checks"]} >= {"tietze-grid", "property-suite"}
+
+
+def test_verify_all_defaults_to_the_gate_grid():
+    args = build_parser().parse_args(["verify-all"])
+    assert (args.nmax, args.pmax, args.lmax) == GATE_GRID
 
 
 def test_module_runs_as_subprocess():

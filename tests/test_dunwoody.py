@@ -1,13 +1,14 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from seifknot.dunwoody import (
     DiagramParams,
+    _ParityDSU,
     GluedDiagram,
     GluingError,
     Tessellation,
-    build_diagram,
     check_seifert_diagram,
     diagram_from_seifert,
     edge_partition_from_pairs,
@@ -65,7 +66,7 @@ def test_boundary_cycle_length():
 
 
 def test_glued_diagram_pinned_counts():
-    diagram = build_diagram(DiagramParams(1, 1, 0, 3, 1, 0))
+    diagram = GluedDiagram(DiagramParams(1, 1, 0, 3, 1, 0))
     assert diagram.counts() == (1, 3, 3, 1)
     assert diagram.satisfies_cover_criterion()
     assert diagram.euler_characteristic() == 0
@@ -76,13 +77,13 @@ def test_glued_diagram_pinned_counts():
         "x3 x1 x2^-1",
     ]
 
-    diagram = build_diagram(DiagramParams(1, 1, 4, 2, 1, 1))
+    diagram = GluedDiagram(DiagramParams(1, 1, 4, 2, 1, 1))
     assert diagram.counts() == (1, 2, 2, 1)
     assert diagram.satisfies_cover_criterion()
 
 
 def test_glued_diagram_failing_rotation():
-    diagram = build_diagram(DiagramParams(1, 1, 0, 3, 0, 0))
+    diagram = GluedDiagram(DiagramParams(1, 1, 0, 3, 0, 0))
     assert diagram.counts() == (2, 4, 3, 1)
     assert not diagram.satisfies_cover_criterion()
     with pytest.raises(GluingError):
@@ -105,7 +106,7 @@ def test_check_seifert_diagram():
 
 
 def test_read_off_matches_cyclic():
-    diagram = build_diagram(DiagramParams(1, 1, 0, 3, 1, 0))
+    diagram = GluedDiagram(DiagramParams(1, 1, 0, 3, 1, 0))
     words = diagram.read_off_words()
     assert read_off_matches_cyclic(words, seifert_word(3, 2, 1, 1))
     assert not read_off_matches_cyclic(words, parse_word("x1 x2 x3", 3))
@@ -115,7 +116,7 @@ def test_expected_identifications_match_gluing():
     for seifert in [(3, 5, 2, 1), (2, 5, 2, 2), (4, 7, 3, 1)]:
         params = diagram_from_seifert(*seifert)
         assert params.s == 0  # the rules cover the unshifted family
-        diagram = build_diagram(params)
+        diagram = GluedDiagram(params)
         pairs = expected_identifications(params.a, params.b, params.c, params.n)
         assert len(pairs) == params.n * diagram.tessellation.cycle_length
         rebuilt = edge_partition_from_pairs(diagram.tessellation.edges, pairs)
@@ -139,3 +140,37 @@ def test_whole_grid_produces_cover_diagrams():
     for n, p, q, l in seifert_parameter_grid(4, 5, 2):
         report = check_seifert_diagram(n, p, q, l)
         assert report.criterion and report.relators_match, (n, p, q, l)
+
+
+def test_every_raw_cover_diagram_reads_off():
+    # each meridian's first edge lands in its own class whenever the cover
+    # criterion holds, so read-off never needs another labelling
+    covers = 0
+    for a, b, c, n, s in product(range(3), range(4), range(4), range(1, 5), (0, 1)):
+        for r in range(2 * a + b + c):
+            try:
+                diagram = GluedDiagram(DiagramParams(a, b, c, n, r, s))
+            except ValueError:
+                continue  # degenerate or non-sphere strand counts
+            if diagram.satisfies_cover_criterion():
+                assert len(diagram.read_off_words()) == n
+                covers += 1
+    assert covers > 100
+
+
+def test_parity_union_find():
+    dsu = _ParityDSU("abcd")
+    dsu.union("a", "b", rel=1)
+    dsu.union("b", "c")
+    dsu.union("c", "a", rel=1)  # consistent with the first two
+    assert dsu.roots() == ["a", "d"]
+    assert dsu.locate("dcba") == {"d": (0, 0), "c": (1, 0), "b": (1, 0), "a": (1, 1)}
+    with pytest.raises(GluingError):
+        dsu.union("a", "c")  # a and c are already glued with opposite orientations
+
+
+def test_check_report_keeps_its_diagram():
+    report = check_seifert_diagram(3, 5, 2, 1)
+    assert report.diagram.params == report.params
+    assert report.diagram.counts() == report.counts
+    assert report == check_seifert_diagram(3, 5, 2, 1)  # the diagram is not compared

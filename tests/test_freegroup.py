@@ -6,7 +6,6 @@ from seifknot.freegroup import (
     FreeWord,
     commutator,
     conjugate,
-    cyclic_rotations,
     format_word,
     generator,
     identity,
@@ -79,12 +78,6 @@ def test_conjugate_and_commutator():
     assert conjugate(h, g) == w("x1^-1 x2 x1", 2)
     assert commutator(g, h) == w("x1^-1 x2^-1 x1 x2", 2)
     assert commutator(g, g).is_identity()
-
-
-def test_cyclic_rotations():
-    rots = cyclic_rotations(w("x1 x2 x3"))
-    assert len(rots) == 3
-    assert w("x2 x3 x1") in rots
 
 
 def test_seifert_word_small_cases():
