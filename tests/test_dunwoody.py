@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from itertools import product
 
@@ -17,6 +18,11 @@ from seifknot.dunwoody import (
 )
 from seifknot.freegroup import parse_word, seifert_word
 from seifknot.presentations import seifert_parameter_grid
+from seifknot.verify import GATE_GRID
+
+# digests recorded with the tuple-keyed construction this kernel replaced
+GATE_GRID_DIGEST = "4e0a534d655044784237c94e7735a58cd435cef26d67876f96db27084f31fae1"
+RAW_SWEEP_DIGEST = "f19a467498c280048057a8239b5d76f4571a69409e7e46169575c7c55a7b5758"
 
 
 def test_tessellation_counts():
@@ -174,3 +180,43 @@ def test_check_report_keeps_its_diagram():
     assert report.diagram.params == report.params
     assert report.diagram.counts() == report.counts
     assert report == check_seifert_diagram(3, 5, 2, 1)  # the diagram is not compared
+
+
+def _diagram_digest(param_list):
+    """sha256 over each diagram's edge locations, vertex class count and
+    read-off words, or the type of the error its construction or read-off
+    raises."""
+    digest = hashlib.sha256()
+    for params in param_list:
+        try:
+            diagram = GluedDiagram(DiagramParams(*params))
+        except (ValueError, AssertionError) as exc:
+            digest.update(f"{params} {type(exc).__name__}\n".encode())
+            continue
+        try:
+            words = [str(w) for w in diagram.read_off_words()]
+        except GluingError:
+            words = "GluingError"
+        record = (list(diagram.edge_location.items()), diagram.vertex_class_count, words)
+        digest.update(f"{params} {record}\n".encode())
+    return digest.hexdigest()
+
+
+def test_gate_grid_diagrams_are_pinned():
+    points = seifert_parameter_grid(*GATE_GRID)
+    params = []
+    for point in points:
+        p = diagram_from_seifert(*point)
+        params.append((p.a, p.b, p.c, p.n, p.r, p.s))
+    assert len(params) == 238
+    assert _diagram_digest(params) == GATE_GRID_DIGEST
+
+
+def test_raw_sweep_diagrams_are_pinned():
+    params = [
+        (a, b, c, n, r, s)
+        for a, b, c, n, s in product(range(3), range(4), range(4), range(1, 5), (0, 1))
+        for r in range(-1, 2 * a + b + c + 2)
+    ]
+    assert len(params) == 3072
+    assert _diagram_digest(params) == RAW_SWEEP_DIGEST
