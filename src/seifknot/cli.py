@@ -190,8 +190,24 @@ def _edge_classes_lines(diagram: GluedDiagram) -> list[str]:
     return lines
 
 
+# Largest diagram `dunwoody` builds, in glued slots n(2a + b + c); one
+# slot costs about a microsecond and a few hundred bytes.
+MAX_GLUED_SLOTS = 1_000_000
+
+
+def _check_glued_slots(n: int, cycle_length: int) -> None:
+    slots = n * cycle_length
+    if slots > MAX_GLUED_SLOTS:
+        raise ValueError(
+            f"diagram too large: {slots} glued slots n(2a+b+c) exceed the "
+            f"cap of {MAX_GLUED_SLOTS}"
+        )
+
+
 def cmd_dunwoody(args: argparse.Namespace) -> int:
     if args.action == "check":
+        # the knot of (n, p, q, l) has 2a + b + c = nql + p - 2q strands
+        _check_glued_slots(args.n, args.n * args.q * args.l + args.p - 2 * args.q)
         report = check_seifert_diagram(args.n, args.p, args.q, args.l)
         diagram = report.diagram
         data: dict[str, Any] = {
@@ -217,6 +233,7 @@ def cmd_dunwoody(args: argparse.Namespace) -> int:
         ]
         ok = report.criterion and report.relators_match
     else:
+        _check_glued_slots(args.n, 2 * args.a + args.b + args.c)
         params = DiagramParams(args.a, args.b, args.c, args.n, args.r, args.s)
         diagram = GluedDiagram(params)
         counts = diagram.counts()

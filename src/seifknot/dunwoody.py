@@ -13,40 +13,58 @@ per face, and those relators form a cyclic presentation: the diagram then
 presents the branched cover geometrically. `check_seifert_diagram` runs
 the whole pipeline for one Seifert parameter tuple and compares the
 read-off against the expected defining word.
+
+Internally every cell is a small integer. With m = 2a + b, edge j of
+meridian i (both counted from 1) has id (i - 1)m + j - 1, and edge j of
+arc i follows all meridian edges with id nm + (i - 1)c + j - 1; this is
+the order of `Tessellation.edges`. Vertices are numbered 0..V-1 after the
+identifications that degenerate strand counts force. Each face boundary
+is stored once as lists of edge ids, traversal signs and corner vertices,
+and the gluing runs a list-backed union-find over those ids. The tuple
+forms (`Tessellation.edges`, `upper_boundary`, `lower_boundary`,
+`GluedDiagram.edge_location`, `GluedDiagram.edge_classes`) are built from
+the integer results when they are first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .freegroup import FreeWord, seifert_word
 from .knots11 import knot_from_seifert
 
 Edge = tuple[str, int, int]
-Vertex = Hashable
 Slot = tuple[Edge, int]
 
-SOUTH = ("pole", "S")
-NORTH = ("pole", "N")
+# raw vertex ids of the poles; the inner vertices of each sheet follow
+_SOUTH = 0
+_NORTH = 1
 
 
 class GluingError(ValueError):
     """The face pairing forces an edge onto its own reverse (non-manifold)."""
 
 
+def _forced_reverse(u: Edge, v: Edge) -> GluingError:
+    return GluingError(f"edge {u} is forced to match its own reverse via {v}")
+
+
 class _ParityDSU:
-    """Union-find that tracks a relative orientation bit per element.
+    """Union-find over range(size) that tracks a relative orientation bit
+    per element.
 
     Vertex unions leave the bit at its default 0; edge unions record
     whether the two edges are glued with or against their orientations.
     """
 
-    def __init__(self, items: Iterable[Hashable]):
-        self.parent: dict[Hashable, Hashable] = {x: x for x in items}
-        self.parity: dict[Hashable, int] = {x: 0 for x in self.parent}
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.parity = [0] * size
+        self.classes = size  # number of classes
 
-    def find(self, x: Hashable) -> tuple[Hashable, int]:
+    def find(self, x: int) -> tuple[int, int]:
         parent = self.parent
         up = parent[x]
         if up == x:
@@ -59,45 +77,70 @@ class _ParityDSU:
             x = parent[x]
         root = x
         par = 0
+        parity = self.parity
         for node in reversed(path):
-            par ^= self.parity[node]
+            par ^= parity[node]
             parent[node] = root
-            self.parity[node] = par
+            parity[node] = par
         return root, par
 
-    def union(self, x: Hashable, y: Hashable, rel: int = 0) -> None:
+    def union(self, x: int, y: int, rel: int = 0) -> None:
         """Record orientation(x) = orientation(y) xor rel."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
+        parent, parity = self.parent, self.parity
+        # find() inlined for the common cases: a root, or a child of one
+        rx = parent[x]
+        if rx == x:
+            px = 0
+        elif parent[rx] == rx:
+            px = parity[x]
+        else:
+            rx, px = self.find(x)
+        ry = parent[y]
+        if ry == y:
+            py = 0
+        elif parent[ry] == ry:
+            py = parity[y]
+        else:
+            ry, py = self.find(y)
         if rx == ry:
             if px ^ py != rel:
                 raise GluingError(
-                    f"edge {x} is forced to match its own reverse via {y}"
+                    f"element {x} is forced to match its own reverse via {y}"
                 )
             return
-        self.parent[ry] = rx
-        self.parity[ry] = px ^ rel ^ py
+        parent[ry] = rx
+        parity[ry] = px ^ rel ^ py
+        self.classes -= 1
 
-    def roots(self) -> list[Hashable]:
+    def roots(self) -> list[int]:
         """One representative per class, in order of first appearance."""
-        return list(dict.fromkeys(self.find(x)[0] for x in self.parent))
+        find = self.find
+        return list(dict.fromkeys(find(x)[0] for x in range(len(self.parent))))
 
-    def locate(self, order: Iterable[Hashable]) -> dict[Hashable, tuple[int, int]]:
-        """Element -> (class index, parity): classes are indexed by first
-        appearance in the given order, and parities are re-anchored to the
-        first element of each class so the orientation baseline is stable.
+    def locate(self, order: Iterable[int]) -> list[tuple[int, int]]:
+        """(class index, parity) of each element of the given order:
+        classes are indexed by first appearance in that order, and
+        parities are re-anchored to the first element of each class so the
+        orientation baseline is stable.
         """
-        index: dict[Hashable, int] = {}
+        index: dict[int, int] = {}
         anchor_parity: list[int] = []
-        location: dict[Hashable, tuple[int, int]] = {}
+        location: list[tuple[int, int]] = []
         for x in order:
             root, par = self.find(x)
-            if root not in index:
-                index[root] = len(anchor_parity)
+            idx = index.get(root)
+            if idx is None:
+                idx = index[root] = len(anchor_parity)
                 anchor_parity.append(par)
-            idx = index[root]
-            location[x] = (idx, par ^ anchor_parity[idx])
+            location.append((idx, par ^ anchor_parity[idx]))
         return location
+
+
+def _backwards(seq: list[int], start: int) -> list[int]:
+    """seq read cyclically backwards, starting at seq[start % len(seq)]."""
+    k = (-start - 1) % len(seq)
+    rev = seq[::-1]
+    return rev[k:] + rev[:k]
 
 
 class Tessellation:
@@ -114,40 +157,68 @@ class Tessellation:
         if a + b + c == 0:
             raise ValueError("need at least one strand")
         self.a, self.b, self.c, self.n = a, b, c, n
-        self.cycle_length = 2 * a + b + c
+        m = 2 * a + b
+        self.cycle_length = m + c
+        self.num_edges = n * (m + c)
 
-        self.edges: list[Edge] = []
-        for i in range(1, n + 1):
-            self.edges.extend(("m", i, j) for j in range(1, 2 * a + b + 1))
-        for i in range(1, n + 1):
-            self.edges.extend(("a", i, j) for j in range(1, c + 1))
-
-        raw: list[Vertex] = [SOUTH, NORTH]
-        for i in range(1, n + 1):
-            raw.extend(("mv", i, h) for h in range(1, 2 * a + b))
-            raw.extend(("av", i, t) for t in range(1, c))
-        self._vertex_dsu = _ParityDSU(raw)
+        # raw vertex ids: the poles, then per sheet the m - 1 inner
+        # meridian vertices followed by the c - 1 inner arc vertices
+        self._sheet_size = m - 1 + max(c - 1, 0)
+        vertex_of = list(range(2 + n * self._sheet_size))
         if c == 0:
+            merged = _ParityDSU(len(vertex_of))
             for i in range(1, n + 1):
-                self._vertex_dsu.union(
+                merged.union(
                     self._meridian_vertex(self._prev(i), a),
                     self._meridian_vertex(i, a + b),
                 )
-        self._endpoints: dict[Edge, tuple[Vertex, Vertex]] = {}
-        for e in self.edges:
-            kind, i, j = e
-            if kind == "m":
-                tail = self._meridian_vertex(i, j - 1)
-                head = self._meridian_vertex(i, j)
-            else:
-                tail = self._arc_vertex(i, j - 1)
-                head = self._arc_vertex(i, j)
-            self._endpoints[e] = (
-                self._vertex_dsu.find(tail)[0],
-                self._vertex_dsu.find(head)[0],
-            )
-        self.vertices: list[Vertex] = sorted(self._vertex_dsu.roots(), key=repr)
-        self._check_boundaries()
+            compact = {root: k for k, root in enumerate(merged.roots())}
+            vertex_of = [compact[merged.find(x)[0]] for x in vertex_of]
+        self.num_vertices = max(vertex_of) + 1
+
+        # endpoints of each edge, indexed by edge id
+        self._tail: list[int] = []
+        self._head: list[int] = []
+        for i in range(1, n + 1):
+            base = 2 + (i - 1) * self._sheet_size
+            meridian = [_SOUTH, *range(base, base + m - 1), _NORTH]
+            chain = [vertex_of[v] for v in meridian]
+            self._tail += chain[:-1]
+            self._head += chain[1:]
+        for i in range(1, n + 1) if c > 0 else ():  # an empty arc has no edges
+            base = 2 + (i - 1) * self._sheet_size + m - 1
+            arc = [
+                self._meridian_vertex(self._prev(i), a),
+                *range(base, base + c - 1),
+                self._meridian_vertex(i, a + b),
+            ]
+            chain = [vertex_of[v] for v in arc]
+            self._tail += chain[:-1]
+            self._head += chain[1:]
+
+        # face boundaries as (edge ids, signs, corners), face i at index i - 1;
+        # the corners are filled in by the boundary walk
+        self._upper: list[tuple[list[int], list[int], list[int]]] = []
+        self._lower: list[tuple[list[int], list[int], list[int]]] = []
+        up_signs = [-1] * (a + c) + [1] * (a + b)
+        low_signs = [1] * (a + c) + [-1] * (a + b)
+        for i in range(1, n + 1):
+            mer = (i - 1) * m  # first edge of meridian i
+            prev = (self._prev(i) - 1) * m  # first edge of meridian i - 1
+            arc = n * m + (i - 1) * c  # first edge of arc i
+            upper = [
+                *range(mer + m - 1, mer + m - 1 - a, -1),
+                *range(arc + c - 1, arc - 1, -1),
+                *range(prev + a, prev + m),
+            ]
+            lower = [
+                *range(prev, prev + a),
+                *range(arc, arc + c),
+                *range(mer + a + b - 1, mer - 1, -1),
+            ]
+            self._upper.append((upper, up_signs, []))
+            self._lower.append((lower, low_signs, []))
+        self._check_boundaries(vertex_of[_NORTH], vertex_of[_SOUTH])
         if self.euler_characteristic() != 2:
             raise ValueError(
                 f"strand counts a={a}, b={b}, c={c} with n={n} force vertex "
@@ -157,30 +228,23 @@ class Tessellation:
     def _prev(self, i: int) -> int:
         return i - 1 if i > 1 else self.n
 
-    def _meridian_vertex(self, i: int, h: int) -> Vertex:
+    def _meridian_vertex(self, i: int, h: int) -> int:
+        m = 2 * self.a + self.b
         if h == 0:
-            return SOUTH
-        if h == 2 * self.a + self.b:
-            return NORTH
-        return ("mv", i, h)
+            return _SOUTH
+        if h == m:
+            return _NORTH
+        return 2 + (i - 1) * self._sheet_size + h - 1
 
-    def _arc_vertex(self, i: int, t: int) -> Vertex:
-        if t == 0:
-            return self._meridian_vertex(self._prev(i), self.a)
-        if t == self.c:
-            return self._meridian_vertex(i, self.a + self.b)
-        return ("av", i, t)
-
-    def endpoints(self, e: Edge) -> tuple[Vertex, Vertex]:
-        return self._endpoints[e]
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
+    @cached_property
+    def edges(self) -> list[Edge]:
+        """Every edge in id order: ("m", i, j) is edge j of meridian i,
+        counted up from the south pole; ("a", i, j) is edge j of arc i."""
+        m, c = 2 * self.a + self.b, self.c
+        meridians = range(1, self.n + 1)
+        return [("m", i, j) for i in meridians for j in range(1, m + 1)] + [
+            ("a", i, j) for i in meridians for j in range(1, c + 1)
+        ]
 
     @property
     def num_faces(self) -> int:
@@ -189,58 +253,44 @@ class Tessellation:
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_faces
 
+    def _slots(self, face: tuple[list[int], list[int], list[int]]) -> list[Slot]:
+        edges = self.edges
+        return [(edges[e], sign) for e, sign in zip(face[0], face[1])]
+
     def upper_boundary(self, i: int) -> list[Slot]:
         """Boundary of the face above arc i, starting at the north pole:
         down the top of meridian i, backwards along the arc, then up the
         middle and top of meridian i-1. Signs are traversal directions.
         """
-        a, b, c = self.a, self.b, self.c
-        prev = self._prev(i)
-        cyc: list[Slot] = []
-        cyc.extend((("m", i, 2 * a + b - t + 1), -1) for t in range(1, a + 1))
-        cyc.extend((("a", i, c - t + 1), -1) for t in range(1, c + 1))
-        cyc.extend((("m", prev, a + t), +1) for t in range(1, b + 1))
-        cyc.extend((("m", prev, a + b + t), +1) for t in range(1, a + 1))
-        return cyc
+        return self._slots(self._upper[i - 1])
 
     def lower_boundary(self, i: int) -> list[Slot]:
         """Boundary of the face below arc i, starting at the south pole:
         up the bottom of meridian i-1, along the arc, then down the middle
         and bottom of meridian i.
         """
-        a, b, c = self.a, self.b, self.c
-        prev = self._prev(i)
-        cyc: list[Slot] = []
-        cyc.extend((("m", prev, t), +1) for t in range(1, a + 1))
-        cyc.extend((("a", i, t), +1) for t in range(1, c + 1))
-        cyc.extend((("m", i, a + b - t + 1), -1) for t in range(1, a + b + 1))
-        return cyc
+        return self._slots(self._lower[i - 1])
 
-    def _slot_ends(self, slot: Slot) -> tuple[Vertex, Vertex]:
-        (edge, sign) = slot
-        tail, head = self.endpoints(edge)
-        return (tail, head) if sign > 0 else (head, tail)
-
-    def corner(self, cycle: Sequence[Slot], position: int) -> Vertex:
-        """Vertex at the given boundary position: the start of the slot
-        position + 1 (position 0 is the cycle's base pole)."""
-        return self._slot_ends(cycle[position % len(cycle)])[0]
-
-    def _check_boundaries(self) -> None:
-        for i in range(1, self.n + 1):
-            for cycle, base in (
-                (self.upper_boundary(i), NORTH),
-                (self.lower_boundary(i), SOUTH),
+    def _check_boundaries(self, north: int, south: int) -> None:
+        """Check that every face boundary chains from its base pole back to
+        it, and record each slot's start corner."""
+        tail, head = self._tail, self._head
+        for i in range(self.n):
+            for (edges, signs, corners), base in (
+                (self._upper[i], north),
+                (self._lower[i], south),
             ):
-                if len(cycle) != self.cycle_length:
+                if len(edges) != self.cycle_length:
                     raise AssertionError("boundary length mismatch")
-                here = self._vertex_dsu.find(base)[0]
-                for slot in cycle:
-                    start, end = self._slot_ends(slot)
-                    if start != here:
-                        raise AssertionError("boundary cycle does not chain")
-                    here = end
-                if here != self._vertex_dsu.find(base)[0]:
+                pairs = [
+                    (tail[e], head[e]) if sign > 0 else (head[e], tail[e])
+                    for e, sign in zip(edges, signs)
+                ]
+                corners[:] = [start for start, _ in pairs]
+                ends = [end for _, end in pairs]
+                if corners[0] != base or corners[1:] != ends[:-1]:
+                    raise AssertionError("boundary cycle does not chain")
+                if ends[-1] != base:
                     raise AssertionError("boundary cycle does not close")
 
 
@@ -276,37 +326,55 @@ class GluedDiagram:
         self.params = params
         self.tessellation = Tessellation(params.a, params.b, params.c, params.n)
         tess = self.tessellation
-        L = tess.cycle_length
         n, r, s = params.n, params.r, params.s
 
-        edge_dsu = _ParityDSU(tess.edges)
-        vertex_dsu = _ParityDSU(tess.vertices)
-        for j in range(1, n + 1):
-            upper = tess.upper_boundary(j)
-            partner = ((j + s - 1) % n) + 1
-            lower = tess.lower_boundary(partner)
-            for k in range(1, L + 1):
-                u, eps = upper[k - 1]
-                v, delta = lower[(r - k) % L]
-                edge_dsu.union(u, v, rel=1 if eps == delta else 0)
-            for x in range(L):
-                vertex_dsu.union(
-                    tess.corner(upper, x), tess.corner(lower, (r - x) % L)
-                )
+        edge_dsu = _ParityDSU(tess.num_edges)
+        vertex_dsu = _ParityDSU(tess.num_vertices)
+        join_edges, join_vertices = edge_dsu.union, vertex_dsu.union
+        # slot x of upper face j meets slot (r - 1 - x) mod L of its lower
+        # partner, and corner x meets corner (r - x) mod L: the partner's
+        # boundary is read backwards from a start the twist sets
+        try:
+            for j in range(n):
+                u_edges, u_signs, u_corners = tess._upper[j]
+                l_edges, l_signs, l_corners = tess._lower[(j + s) % n]
+                for u, v, eps, delta in zip(
+                    u_edges,
+                    _backwards(l_edges, r - 1),
+                    u_signs,
+                    _backwards(l_signs, r - 1),
+                ):
+                    join_edges(u, v, eps == delta)
+                for x, y in zip(u_corners, _backwards(l_corners, r)):
+                    join_vertices(x, y)
+        except GluingError:
+            raise _forced_reverse(tess.edges[u], tess.edges[v]) from None
 
-        self.vertex_class_count = len(vertex_dsu.roots())
-        self.edge_location: dict[Edge, tuple[int, int]] = edge_dsu.locate(tess.edges)
-        self.edge_classes: list[list[tuple[Edge, int]]] = []
-        for e, (idx, rel) in self.edge_location.items():
-            if idx == len(self.edge_classes):
-                self.edge_classes.append([])
-            self.edge_classes[idx].append((e, rel))
+        self.vertex_class_count = vertex_dsu.classes
+        self._edge_class_count = edge_dsu.classes
+        # (class index, parity) per edge id, classes by first appearance
+        self._location = edge_dsu.locate(range(tess.num_edges))
+
+    @cached_property
+    def edge_location(self) -> dict[Edge, tuple[int, int]]:
+        """Edge -> (class index, parity relative to the class's first edge)."""
+        return dict(zip(self.tessellation.edges, self._location))
+
+    @cached_property
+    def edge_classes(self) -> list[list[tuple[Edge, int]]]:
+        """The edges of each class with their parities, in edge order."""
+        classes: list[list[tuple[Edge, int]]] = [
+            [] for _ in range(self._edge_class_count)
+        ]
+        for e, (idx, rel) in zip(self.tessellation.edges, self._location):
+            classes[idx].append((e, rel))
+        return classes
 
     def counts(self) -> tuple[int, int, int, int]:
         """(vertex classes, edge classes, faces, 3-cells) after gluing."""
         return (
             self.vertex_class_count,
-            len(self.edge_classes),
+            self._edge_class_count,
             self.params.n,
             1,
         )
@@ -318,7 +386,7 @@ class GluedDiagram:
     def satisfies_cover_criterion(self) -> bool:
         """One vertex class and exactly n edge classes: the condition for
         the read-off to present the branched cover."""
-        return self.vertex_class_count == 1 and len(self.edge_classes) == self.params.n
+        return self.vertex_class_count == 1 and self._edge_class_count == self.params.n
 
     def read_off_words(self) -> list[FreeWord]:
         """One relator per upper face, walking the boundary from the
@@ -327,30 +395,29 @@ class GluedDiagram:
         Generator x_i labels the class of the first (bottom) edge of
         meridian i, so those n edges must lie in n distinct classes."""
         n = self.params.n
-        if len(self.edge_classes) != n:
+        if self._edge_class_count != n:
             raise GluingError(
                 f"read-off needs exactly {n} edge classes, "
-                f"got {len(self.edge_classes)}"
+                f"got {self._edge_class_count}"
             )
-        firsts = [self.edge_location[("m", i, 1)][0] for i in range(1, n + 1)]
+        location = self._location
+        m = 2 * self.params.a + self.params.b
+        firsts = [location[i * m][0] for i in range(n)]  # edge ("m", i + 1, 1)
         if len(set(firsts)) != n:
             raise GluingError(
                 "the first edges of the meridians do not lie in distinct "
                 "edge classes, so they cannot label the generators"
             )
         labels = {cls: i + 1 for i, cls in enumerate(firsts)}
-        tess = self.tessellation
-        L = tess.cycle_length
         start = self.params.a + self.params.c if self.params.s == 0 else self.params.a
         words = []
-        for i in range(1, n + 1):
-            cycle = tess.upper_boundary(i)
+        for edges, signs, _ in self.tessellation._upper:
             syllables = []
-            for t in range(L):
-                edge, sign = cycle[(start + t) % L]
-                cls, par = self.edge_location[edge]
-                exp = sign * (1 if par == 0 else -1)
-                syllables.append((labels[cls], exp))
+            for e, sign in zip(
+                edges[start:] + edges[:start], signs[start:] + signs[:start]
+            ):
+                cls, par = location[e]
+                syllables.append((labels[cls], sign if par == 0 else -sign))
             words.append(FreeWord(n, syllables))
         return words
 
@@ -397,10 +464,14 @@ def edge_partition_from_pairs(
     with classes indexed by first appearance in the given edge order.
     Comparable to GluedDiagram.edge_location when fed the same edge list.
     """
-    dsu = _ParityDSU(edges)
-    for u, v in pairs:
-        dsu.union(u, v)
-    return dsu.locate(edges)
+    index = {e: k for k, e in enumerate(edges)}
+    dsu = _ParityDSU(len(edges))
+    try:
+        for u, v in pairs:
+            dsu.union(index[u], index[v])
+    except GluingError:
+        raise _forced_reverse(u, v) from None
+    return dict(zip(edges, dsu.locate(range(len(edges)))))
 
 
 def read_off_matches_cyclic(words: Sequence[FreeWord], w: FreeWord) -> bool:

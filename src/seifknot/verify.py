@@ -91,9 +91,11 @@ def check_homology_grid(
     n_max: int = GATE_GRID[0], p_max: int = GATE_GRID[1], l_max: int = GATE_GRID[2]
 ) -> tuple[bool, str]:
     """Both presentations abelianize identically; the circulant shortcut
-    agrees; two pinned values hold."""
+    agrees; the order is p^(n-1)|nlq - p|, p^(n-1) times the order of H1 of
+    the ambient lens space; two pinned values hold."""
     grid = seifert_parameter_grid(n_max, p_max, l_max)
     for point in grid:
+        n, p, q, l = point
         cyc = first_homology(seifert_cyclic_presentation(*point))
         std = first_homology(standard_seifert_presentation(*point))
         if cyc != std:
@@ -104,6 +106,8 @@ def check_homology_grid(
             expected_order is not None and order != expected_order
         ):
             return False, f"circulant order mismatch at {point}"
+        if order != p ** (n - 1) * abs(n * l * q - p):
+            return False, f"H1 order is not p^(n-1)|nlq - p| at {point}"
     pin1 = str(first_homology(seifert_cyclic_presentation(3, 2, 1, 1)))
     pin2 = str(first_homology(seifert_cyclic_presentation(2, 3, 2, 2)))
     if pin1 != "Z/2 + Z/2":

@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from seifknot import cli
 from seifknot.cli import build_parser, main
+from seifknot.dunwoody import diagram_from_seifert
+from seifknot.presentations import seifert_parameter_grid
 from seifknot.verify import GATE_GRID
 
 
@@ -152,6 +155,46 @@ def test_dunwoody_raw(capsys):
     # non-sphere strand counts are rejected
     code, _, err = run_cli(capsys, "dunwoody", "raw", "1", "0", "0", "1", "0", "0")
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "command, slots",
+    [
+        # 250001 * (2 + 1 + 1) and 1000 * (1000*3*1 + 7 - 6)
+        ("raw 1 1 1 250001 0 0", 1_000_004),
+        ("check 1000 7 3 1", 3_001_000),
+    ],
+)
+def test_dunwoody_size_cap(capsys, monkeypatch, command, slots):
+    def no_work(*args):
+        raise AssertionError("a diagram over the cap was built")
+
+    monkeypatch.setattr(cli, "GluedDiagram", no_work)
+    monkeypatch.setattr(cli, "check_seifert_diagram", no_work)
+    code, out, err = run_cli(capsys, "dunwoody", *command.split())
+    assert code == 1 and not out
+    assert f"{slots} glued slots" in err and "cap of 1000000" in err
+
+
+def test_dunwoody_size_cap_is_inclusive(capsys, monkeypatch):
+    built = []
+
+    def record(*args):
+        built.append(args)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "GluedDiagram", record)
+    monkeypatch.setattr(cli, "check_seifert_diagram", record)
+    run_cli(capsys, "dunwoody", "raw", "1", "1", "1", "250000", "0", "0")
+    run_cli(capsys, "dunwoody", "check", "500", "2", "1", "4")  # 500 * 2000
+    assert len(built) == 2
+
+
+def test_check_slot_count_closed_form():
+    # the cap on `dunwoody check` counts n(nql + p - 2q) slots
+    for n, p, q, l in seifert_parameter_grid(*GATE_GRID):
+        params = diagram_from_seifert(n, p, q, l)
+        assert 2 * params.a + params.b + params.c == n * q * l + p - 2 * q
 
 
 # edge classes of D(2,2,1,3,3,0), the diagram of (3,5,2,1), as the CLI lists them

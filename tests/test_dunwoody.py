@@ -165,14 +165,16 @@ def test_every_raw_cover_diagram_reads_off():
 
 
 def test_parity_union_find():
-    dsu = _ParityDSU("abcd")
-    dsu.union("a", "b", rel=1)
-    dsu.union("b", "c")
-    dsu.union("c", "a", rel=1)  # consistent with the first two
-    assert dsu.roots() == ["a", "d"]
-    assert dsu.locate("dcba") == {"d": (0, 0), "c": (1, 0), "b": (1, 0), "a": (1, 1)}
+    dsu = _ParityDSU(4)
+    dsu.union(0, 1, rel=1)
+    dsu.union(1, 2)
+    dsu.union(2, 0, rel=1)  # consistent with the first two
+    assert dsu.roots() == [0, 3]
+    # classes by first appearance in the order, parities re-anchored to
+    # each class's first element
+    assert dsu.locate([3, 2, 1, 0]) == [(0, 0), (1, 0), (1, 0), (1, 1)]
     with pytest.raises(GluingError):
-        dsu.union("a", "c")  # a and c are already glued with opposite orientations
+        dsu.union(0, 2)  # 0 and 2 are already glued with opposite orientations
 
 
 def test_check_report_keeps_its_diagram():

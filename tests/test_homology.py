@@ -12,10 +12,14 @@ from seifknot.homology import (
     smith_normal_form,
     verify_snf_certificate,
 )
+from seifknot.freegroup import seifert_word
+from seifknot.knots11 import knot_from_seifert
 from seifknot.presentations import (
     seifert_cyclic_presentation,
+    seifert_parameter_grid,
     standard_seifert_presentation,
 )
+from seifknot.verify import GATE_GRID, check_homology_grid
 
 
 def test_bareiss_determinant():
@@ -134,3 +138,17 @@ def test_circulant_order_matches_cokernel():
         group = cokernel(mat, n)
         order = group.order()
         assert circulant_order(row) == (0 if order is None else order)
+
+
+def test_h1_order_is_p_power_times_ambient_lens_order():
+    # |H1(M)| = p^(n-1) |nlq - p|, and |nlq - p| is the order of H1 of the
+    # lens space the knot K(a,b,c,r) lives in; 0 stands for infinite H1
+    for n, p, q, l in seifert_parameter_grid(*GATE_GRID):
+        order = circulant_order(seifert_word(n, p, q, l).exponent_vector())
+        assert order == p ** (n - 1) * abs(n * l * q - p), (n, p, q, l)
+        assert knot_from_seifert(n, p, q, l).ambient[0] == abs(n * l * q - p)
+    # the stricter check keeps its detail string
+    assert check_homology_grid(4, 5, 2) == (
+        True,
+        "45 parameter tuples, H1 equal both routes",
+    )
