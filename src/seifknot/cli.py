@@ -190,8 +190,8 @@ def _edge_classes_lines(diagram: GluedDiagram) -> list[str]:
     return lines
 
 
-# Largest diagram `dunwoody` builds, in glued slots n(2a + b + c); one
-# slot costs about a microsecond and a few hundred bytes.
+# Largest diagram `dunwoody` builds, in glued slots n(2a + b + c); a build
+# at the cap takes seconds and a few hundred MB.
 MAX_GLUED_SLOTS = 1_000_000
 
 
