@@ -24,11 +24,12 @@ def show(n: int, p: int, q: int, l: int) -> None:
     print(f"  knot {cover.knot}, {cover.sheets}-fold branched cover")
 
     lens, trace = reduce_to_lens(cover.knot)
-    plural = "s" if len(trace) != 1 else ""
-    print(f"  reduction to the ambient space ({len(trace)} move{plural})")
-    state = cover.knot
-    for label, state in trace:
-        print(f"    {label:>5} -> {state}")
+    moves = sum(runs for _, runs, _ in trace)
+    runs = len(trace)
+    print(f"  reduction to the ambient space ({moves} move{'s' * (moves != 1)}"
+          f" in {runs} run{'s' * (runs != 1)})")
+    for label, runs, state in trace:
+        print(f"    {label:>5} x{runs} -> {state}")
     print(f"  ambient space {lens_name(lens)}"
           f" (closed form agrees: {lens == cover.ambient})")
 

@@ -73,10 +73,42 @@ def _group_line(group) -> str:
     return f"{group} ({size})"
 
 
+# Largest presentations `present`, `tietze` and `homology` build. The
+# cyclic presentation has n relators of n*l syllables each, the standard
+# one at most 7n + 8 syllables in all; its relation matrix is n x n
+# (cyclic) or (2n + 3) x (n + 2) (standard). At the syllable cap a command
+# takes about a second, at the cell cap about 10 s (2-vCPU Xeon).
+MAX_RELATOR_SYLLABLES = 300_000
+MAX_MATRIX_CELLS = 200_000
+
+
+def _check_presentation_size(args: argparse.Namespace, forms: Sequence[str]) -> None:
+    n, l = args.n, args.l
+    syllables = sum(n * n * l if form == "cyclic" else 7 * n + 8 for form in forms)
+    if syllables > MAX_RELATOR_SYLLABLES:
+        raise ValueError(
+            f"presentation too large: {syllables} relator syllables exceed the "
+            f"cap of {MAX_RELATOR_SYLLABLES}"
+        )
+
+
+def _check_matrix_cells(args: argparse.Namespace) -> None:
+    n = args.n
+    rows, cols = (n, n) if args.source == "cyclic" else (2 * n + 3, n + 2)
+    if rows * cols > MAX_MATRIX_CELLS:
+        raise ValueError(
+            f"relation matrix too large: {rows} x {cols} = {rows * cols} cells "
+            f"exceed the cap of {MAX_MATRIX_CELLS}"
+        )
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
 def cmd_present(args: argparse.Namespace) -> int:
+    _check_presentation_size(
+        args, ("cyclic", "standard") if args.form == "both" else (args.form,)
+    )
     params = (args.n, args.p, args.q, args.l)
     data: dict[str, Any] = {}
     lines = []
@@ -93,6 +125,7 @@ def cmd_present(args: argparse.Namespace) -> int:
 
 
 def cmd_tietze(args: argparse.Namespace) -> int:
+    _check_presentation_size(args, ("cyclic",))
     witnesses = tietze_witnesses(args.n, args.p, args.q, args.l)
     rows = []
     lines = []
@@ -118,6 +151,8 @@ def cmd_homology(args: argparse.Namespace) -> int:
         group = cokernel(rows, len(rows[0]))
         label = "cokernel"
     else:
+        _check_presentation_size(args, (args.source,))
+        _check_matrix_cells(args)
         build = (
             seifert_cyclic_presentation
             if args.source == "cyclic"
@@ -160,11 +195,11 @@ def cmd_knot(args: argparse.Namespace) -> int:
         return 0
     lens, trace = reduce_to_lens(k)
     lines = [f"start  {k}"]
-    lines.extend(f"{label:>5}  {state}" for label, state in trace)
+    lines.extend(f"{label:>5} x{runs}  {state}" for label, runs, state in trace)
     lines.append(f"result {lens_name(lens)}")
     data = {
         "start": _knot_payload(k),
-        "moves": [[label, _knot_payload(state)] for label, state in trace],
+        "moves": [[label, runs, _knot_payload(state)] for label, runs, state in trace],
         "lens": list(lens),
         "name": lens_name(lens),
     }

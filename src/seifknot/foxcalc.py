@@ -193,26 +193,62 @@ def alexander_matrix(
     ]
 
 
+def _exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """num / den in Z[t, 1/t] for a nonzero den, by long division; raises
+    ArithmeticError when den does not divide num. Both coefficient runs
+    start with a nonzero term, so divisibility by a Laurent polynomial is
+    divisibility of the runs as ordinary polynomials."""
+    rem = list(num.coeffs)
+    div = den.coeffs
+    width = len(div)
+    quot = [0] * (len(rem) - width + 1)
+    for i in reversed(range(len(quot))):
+        c, r = divmod(rem[i + width - 1], div[-1])
+        if r:
+            raise ArithmeticError(f"{den} does not divide {num}")
+        if c:
+            quot[i] = c
+            for j in range(width):
+                rem[i + j] -= c * div[j]
+    if any(rem):
+        raise ArithmeticError(f"{den} does not divide {num}")
+    return LaurentPoly(num.low - den.low, quot)
+
+
 def laurent_determinant(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Cofactor-expansion determinant; fine at the sizes minors have here."""
+    """Determinant over Z[t, 1/t] by fraction-free (Bareiss) elimination.
+
+    Each step replaces a[i][j] by (a[i][j] a[k][k] - a[i][k] a[k][j]) / p,
+    where p is the previous pivot; by Sylvester's identity the division
+    is exact, and a remainder raises ArithmeticError. A zero pivot is
+    replaced by swapping in a lower row, which flips the sign; a column
+    with no nonzero pivot left makes the determinant zero.
+    """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("square matrix required")
     if size == 0:
         return ONE
-    if size == 1:
-        return matrix[0][0]
-    total = LaurentPoly()
-    for j in range(size):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        minor = [
-            [row[k] for k in range(size) if k != j] for row in matrix[1:]
-        ]
-        term = entry * laurent_determinant(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    a = [list(row) for row in matrix]
+    negate = False
+    prev = ONE
+    for k in range(size - 1):
+        if a[k][k].is_zero():
+            for i in range(k + 1, size):
+                if not a[i][k].is_zero():
+                    a[k], a[i] = a[i], a[k]
+                    negate = not negate
+                    break
+            else:
+                return ZERO
+        pivot, pivot_row = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            head = row[k]
+            for j in range(k + 1, size):
+                row[j] = _exact_quotient(row[j] * pivot - head * pivot_row[j], prev)
+        prev = pivot
+    det = a[size - 1][size - 1]
+    return -det if negate else det
 
 
 def alexander_polynomial(

@@ -34,8 +34,9 @@ def _merge(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
 class FreeWord:
     """An element of the free group on generators x1..xn, in reduced form.
 
-    Instances are immutable and hashable; all constructors reduce their
-    input, so two equal group elements compare equal as Python objects.
+    Instances are immutable and hashable; the public constructor reduces
+    its input and the group operations keep words reduced, so two equal
+    group elements compare equal as Python objects.
     """
 
     n: int
@@ -51,23 +52,47 @@ class FreeWord:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "syllables", reduced)
 
+    @classmethod
+    def _reduced(cls, n: int, syllables: tuple[Syllable, ...]) -> "FreeWord":
+        """Wrap syllables that are already reduced and in range, without
+        merging or validating them again."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "n", n)
+        object.__setattr__(word, "syllables", syllables)
+        return word
+
     # -- group operations -------------------------------------------------
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
+        """Both factors are reduced, so cancellation happens only at the
+        seam: the cost is linear in the length of the product."""
         if self.n != other.n:
             raise ValueError("words live in free groups of different rank")
-        return FreeWord(self.n, self.syllables + other.syllables)
+        left, right = self.syllables, other.syllables
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            exp = left[i - 1][1] + right[j][1]
+            if exp:
+                seam = ((right[j][0], exp),)
+                return FreeWord._reduced(self.n, left[: i - 1] + seam + right[j + 1 :])
+            i -= 1
+            j += 1
+        return FreeWord._reduced(self.n, left[:i] + right[j:])
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.n, [(g, -e) for g, e in reversed(self.syllables)])
+        return FreeWord._reduced(self.n, tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, k: int) -> "FreeWord":
-        if k == 0:
-            return FreeWord(self.n)
-        base = self if k > 0 else self.inverse()
-        out = FreeWord(self.n)
-        for _ in range(abs(k)):
-            out = out * base
+        """k-th power by repeated squaring, in time linear in the output."""
+        base = self if k >= 0 else self.inverse()
+        k = abs(k)
+        out = FreeWord._reduced(self.n, ())
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def is_identity(self) -> bool:
@@ -88,7 +113,7 @@ class FreeWord:
         if self.n == 0:
             return self
         shifted = tuple(((g - 1 + k) % self.n + 1, e) for g, e in self.syllables)
-        return FreeWord(self.n, shifted)
+        return FreeWord._reduced(self.n, shifted)
 
     def exponent_vector(self) -> tuple[int, ...]:
         """Total exponent of each generator, as a length-n tuple."""
@@ -138,10 +163,16 @@ def seifert_word(n: int, p: int, q: int, l: int) -> FreeWord:
     attached to the parameters (n, p, q, l).
 
     Reduced length is n*q*l + p - 2*q (the block's trailing xn^q cancels
-    into xn^-p).
+    into xn^-p). The syllables are written out directly: the block l
+    times, then xn^(q-p) in place of the last xn^q. Outside n >= 2,
+    l >= 1, q not in {0, p} that would not be reduced, so such input
+    is rejected.
     """
-    block = FreeWord(n, [(i, q) for i in range(1, n + 1)])
-    return block**l * generator(n, n, -p)
+    if n < 2 or l < 1 or q in (0, p):
+        raise ValueError("seifert_word needs n >= 2, l >= 1 and q not in {0, p}")
+    syllables = [(i, q) for i in range(1, n + 1)] * l
+    syllables[-1] = (n, q - p)
+    return FreeWord._reduced(n, tuple(syllables))
 
 
 # -- text form -------------------------------------------------------------

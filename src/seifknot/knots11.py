@@ -101,7 +101,10 @@ def band_swap(k: KnotParams) -> KnotParams:
     return KnotParams(k.a, k.c, k.b, k.r)
 
 
-Trace = list[tuple[str, KnotParams]]
+# A run of equal moves: (label, multiplicity, state after the run). A
+# reduction is at most four runs, so its trace has size polynomial in the
+# bit size of (a, b, c), not in their values.
+Trace = list[tuple[str, int, KnotParams]]
 
 
 def _with_twist(k: KnotParams, r: int) -> KnotParams:
@@ -109,53 +112,60 @@ def _with_twist(k: KnotParams, r: int) -> KnotParams:
 
 
 def _single_band(k: KnotParams, trace: Trace) -> tuple[tuple[int, int], Trace]:
-    """Subtractive loop on K(a, 0, c, a); the gcd of (a, c) is invariant."""
-    while True:
-        if k.a == 0:
-            return normalize_lens(k.c, 0), trace
-        if k.c == 0:
-            return normalize_lens(0, k.a), trace
-        if k.a < k.c:
-            return normalize_lens(k.c, k.a), trace
-        k = KnotParams(k.a - k.c, 0, k.c, k.a - k.c)
-        trace.append(("I", k))
+    """Euclid on K(a, 0, c, a): move I takes a to a - c while a >= c, so
+    one division step stands for a // c moves; gcd(a, c) is invariant."""
+    if k.a and k.c and k.a >= k.c:
+        runs, rest = divmod(k.a, k.c)
+        k = KnotParams(rest, 0, k.c, rest)
+        trace.append(("I", runs, k))
+    if k.a == 0:
+        return normalize_lens(k.c, 0), trace
+    if k.c == 0:
+        return normalize_lens(0, k.a), trace
+    return normalize_lens(k.c, k.a), trace
 
 
 def _reduce_aligned(k: KnotParams, trace: Trace) -> tuple[tuple[int, int], Trace]:
-    """Twist residue a: shrink the outer/crossing bands into the middle."""
-    while k.a > 0 and k.b > 0 and k.c > 0:
-        k = KnotParams(k.a - 1, k.b + 1, k.c - 1, k.a - 1)
-        trace.append(("III", k))
+    """Twist residue a: move III shrinks the outer and crossing bands into
+    the middle one strand at a time, min(a, c) times while b > 0."""
+    runs = min(k.a, k.c) if k.b else 0
+    if runs:
+        a = k.a - runs
+        k = KnotParams(a, k.b + runs, k.c - runs, a)
+        trace.append(("III", runs, k))
     if k.b > 0:
         if k.a == 0:
             return normalize_lens(k.b + k.c, k.b), trace
         k = band_swap(k)
-        trace.append(("swap0", k))
+        trace.append(("swap0", 1, k))
     return _single_band(k, trace)
 
 
 def _reduce_crossed(k: KnotParams, trace: Trace) -> tuple[tuple[int, int], Trace]:
-    """Twist residue a + c: cancel crossing strands against the middle."""
+    """Twist residue a + c: move IV cancels each crossing strand against a
+    middle one, c times in all."""
     if k.c > k.b:
         k = swap(k)
-        trace.append(("swap", k))
-    while k.c > 0:
-        k = KnotParams(k.a, k.b - 1, k.c - 1, k.r - 1)
-        trace.append(("IV", k))
+        trace.append(("swap", 1, k))
+    if k.c > 0:
+        runs = k.c
+        k = KnotParams(k.a, k.b - runs, 0, k.r - runs)
+        trace.append(("IV", runs, k))
     if k.b > 0:
         k = band_swap(k)
-        trace.append(("swap0", k))
+        trace.append(("swap0", 1, k))
     return _single_band(k, trace)
 
 
 def reduce_to_lens(k: KnotParams) -> tuple[tuple[int, int], Trace]:
     """Run the diagram moves until the underlying space is a lens space.
 
-    Returns the normalized lens tuple and the move trace (label, state
-    after the move). Raises UnsupportedTwist when the twist residue is in
-    none of the three reducible families, and ValueError when the family's
-    coprimality condition fails. The trace never exceeds a + b + c + 2
-    moves.
+    Returns the normalized lens tuple and the move trace as runs (label,
+    multiplicity, state after the run); there are at most four runs.
+    Raises UnsupportedTwist when the twist residue is in none of the three
+    reducible families, and ValueError when the family's coprimality
+    condition fails. The multiplicities never sum to more than
+    a + b + c + 2 moves.
     """
     m = k.period
     t = k.twist
@@ -166,7 +176,7 @@ def reduce_to_lens(k: KnotParams) -> tuple[tuple[int, int], Trace]:
         return _reduce_crossed(_with_twist(k, k.a + k.c), trace)
     if t == (k.a + k.b + k.c) % m:
         k = swap(_with_twist(k, k.a + k.b + k.c))
-        trace.append(("swap", k))
+        trace.append(("swap", 1, k))
         return _reduce_aligned(k, trace)
     raise UnsupportedTwist(
         f"twist {t} mod {m} is not one of a, a+c, a+b+c for {k}"

@@ -63,10 +63,19 @@ class Presentation:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Presentation":
-        gens = tuple(str(g) for g in data["generators"])
-        rels = tuple(parse_word(t, len(gens), gens) for t in data["relators"])
-        return cls(gens, rels)
+    def from_dict(cls, data: Any) -> "Presentation":
+        """Inverse of to_dict. Anything but an object with a list of
+        distinct string generators and a list of string relators raises
+        ValueError; nothing is coerced."""
+        if not isinstance(data, dict):
+            raise ValueError("a presentation must be a JSON object")
+        gens, rels = data.get("generators"), data.get("relators")
+        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+            raise ValueError('"generators" must be a list of strings')
+        if not isinstance(rels, list) or not all(isinstance(r, str) for r in rels):
+            raise ValueError('"relators" must be a list of strings')
+        names = tuple(gens)
+        return cls(names, tuple(parse_word(t, len(names), names) for t in rels))
 
     def __str__(self) -> str:
         gens = ", ".join(self.generators)

@@ -154,9 +154,10 @@ def check_identification_rules(
 
 
 def check_lens_closed_forms(limit: int = 12) -> tuple[bool, str]:
-    """Move-by-move reduction agrees with the closed forms for every
+    """The run-length reduction agrees with the closed forms for every
     strand triple up to the limit, under the per-family coprimality; the
-    trace never exceeds a + b + c + 2 moves; unsupported twists raise."""
+    trace never sums to more than a + b + c + 2 moves; unsupported twists
+    raise."""
     checked = 0
     rejected = 0
     for a in range(limit + 1):
@@ -187,8 +188,9 @@ def check_lens_closed_forms(limit: int = 12) -> tuple[bool, str]:
                     lens, trace = reduce_to_lens(k)
                     if lens != closed:
                         return False, f"{k}: engine {lens} vs closed {closed}"
-                    if len(trace) > a + b + c + 2:
-                        return False, f"{k}: {len(trace)} moves"
+                    moves = sum(runs for _, runs, _ in trace)
+                    if moves > a + b + c + 2:
+                        return False, f"{k}: {moves} moves"
                     checked += 1
                 for probe in range(m):
                     if probe in residues:
@@ -219,7 +221,7 @@ def check_parameter_consistency(
         lens, trace = reduce_to_lens(k)
         if lens != cover.ambient:
             return False, f"reduction disagrees at {(n, p, q, l)}"
-        if len(trace) > k.a + k.b + k.c + 2:
+        if sum(runs for _, runs, _ in trace) > k.a + k.b + k.c + 2:
             return False, f"trace too long at {(n, p, q, l)}"
     pairs = 0
     for n in range(3, 9):
@@ -416,6 +418,16 @@ def run_all(
     budget: int = DEFAULT_BUDGET,
     fail_fast: bool = False,
 ) -> list[CheckResult]:
+    """Run every check in order. A grid with no parameter tuple, which
+    would let the grid checks pass vacuously, and a budget below 1 raise
+    ValueError before any check runs."""
+    if not seifert_parameter_grid(n_max, p_max, l_max):
+        raise ValueError(
+            f"the grid n <= {n_max}, p <= {p_max}, l <= {l_max} has no parameter "
+            "tuple: need n_max >= 2, p_max >= 2, l_max >= 1 (l_max >= 2 when n_max = 2)"
+        )
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     results = []
     for name, fn in _named_checks(n_max, p_max, l_max, seed, budget):
         result = run_named_check(name, fn)

@@ -117,7 +117,15 @@ def test_knot_reduce(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["name"] == "S^3"
-    assert [move for move, _ in data["moves"]] == ["swap", "IV", "IV", "swap0", "I"]
+    assert data["moves"] == [
+        ["swap", 1, [1, 3, 2, 3]],
+        ["IV", 2, [1, 1, 0, 1]],
+        ["swap0", 1, [1, 0, 1, 1]],
+        ["I", 1, [0, 0, 1, 0]],
+    ]
+    code, out, _ = run_cli(capsys, "knot", "reduce", "1", "2", "3", "4")
+    assert code == 0
+    assert out.splitlines()[1:4] == [" swap x1  K(1,3,2,3)", "   IV x2  K(1,1,0,1)", "swap0 x1  K(1,0,1,1)"]
 
 
 def test_knot_ambient(capsys):
@@ -261,6 +269,98 @@ def test_alexander_from_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "alexander", "--presentation", str(path))
     assert code == 0
     assert "|Delta(-1)| = 15" in out
+
+
+@pytest.mark.parametrize(
+    "pres,bad",
+    [
+        ([1, 2], "JSON object"),
+        ({"generators": "xy", "relators": ["x y"]}, "generators"),
+        ({"generators": ["x", 2], "relators": []}, "generators"),
+        ({"relators": ["x"]}, "generators"),
+        ({"generators": ["x", "y"], "relators": [1]}, "relators"),
+        ({"generators": ["x", "y"], "relators": "x y"}, "relators"),
+        ({"generators": ["x", "x"], "relators": ["x"]}, "duplicate"),
+        ({"generators": ["x", "y"], "relators": ["z"]}, "unknown generator"),
+    ],
+    ids=["list", "string-generators", "non-string-generator", "no-generators",
+         "non-string-relator", "string-relators", "duplicate", "unknown"],
+)
+def test_alexander_rejects_malformed_presentation(tmp_path, capsys, pres, bad):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(pres))
+    code, out, err = run_cli(capsys, "alexander", "--presentation", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and bad in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-all", "--nmax", "1", "--pmax", "1", "--lmax", "0"],
+        ["verify-all", "--nmax", "1"],
+        ["verify-all", "--pmax", "1"],
+        ["verify-all", "--lmax", "0"],
+        ["verify-all", "--nmax", "2", "--lmax", "1"],  # n = 2 needs l >= 2
+    ],
+    ids=["all", "nmax", "pmax", "lmax", "n2-l1"],
+)
+def test_verify_all_rejects_an_empty_grid(capsys, monkeypatch, argv):
+    monkeypatch.setattr("seifknot.verify._named_checks", pytest.fail)
+    code, out, err = run_cli(capsys, "--json", *argv)
+    assert code == 1 and out == ""
+    assert "has no parameter tuple" in err
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_verify_all_rejects_a_budget_below_one(capsys, monkeypatch, budget):
+    monkeypatch.setattr("seifknot.verify._named_checks", pytest.fail)
+    code, out, err = run_cli(capsys, "--budget", budget, "verify-all", "--nmax", "3")
+    assert code == 1 and out == ""
+    assert f"budget must be at least 1, got {budget}" in err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        # 3 * 3 * 33334 cyclic syllables; with the standard form 7 * 3 + 8 more
+        ("present 3 7 2 33334 --form cyclic", "300006 relator syllables"),
+        ("present 3 7 2 33333", "300026 relator syllables"),
+        ("present 42858 7 2 1 --form standard", "300014 relator syllables"),
+        ("tietze 2 3 1 75001", "300004 relator syllables"),
+        ("homology cyclic 2 3 1 75001", "300004 relator syllables"),
+        ("homology cyclic 448 3 1 1", "448 x 448 = 200704 cells"),
+        ("homology standard 315 3 1 1", "633 x 317 = 200661 cells"),
+    ],
+)
+def test_presentation_size_caps(capsys, monkeypatch, command, message):
+    def no_work(*args):
+        raise AssertionError("a presentation over the cap was built")
+
+    for name in ("seifert_cyclic_presentation", "standard_seifert_presentation", "tietze_witnesses"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 1 and not out
+    assert err.startswith("error: ") and message in err
+
+
+def test_presentation_size_caps_are_inclusive(capsys, monkeypatch):
+    built = []
+
+    def record(*args):
+        built.append(args)
+        raise ValueError("stop")
+
+    for name in ("seifert_cyclic_presentation", "standard_seifert_presentation", "tietze_witnesses"):
+        monkeypatch.setattr(cli, name, record)
+    for command in (
+        "present 3 7 2 33333 --form cyclic",  # 299997 syllables
+        "tietze 2 3 1 75000",  # 300000
+        "homology cyclic 447 3 1 1",  # 199809 cells
+        "homology standard 314 3 1 1",  # 631 x 316 = 199396 cells
+    ):
+        run_cli(capsys, *command.split())
+    assert len(built) == 4
 
 
 def test_json_output_is_byte_stable(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from seifknot.foxcalc import (
     ONE,
     ZERO,
     LaurentPoly,
+    _exact_quotient,
     alexander_matrix,
     alexander_polynomial,
     example_knot_presentation,
@@ -134,3 +136,61 @@ def test_laurent_determinant():
     assert laurent_determinant([]) == ONE
     with pytest.raises(ValueError):
         laurent_determinant([[ONE, t]])
+
+
+# -- oracle: the cofactor expansion Bareiss elimination replaced ----------------
+
+
+def _cofactor_determinant(matrix):
+    size = len(matrix)
+    if size == 0:
+        return ONE
+    total = ZERO
+    for j in range(size):
+        if matrix[0][j].is_zero():
+            continue
+        minor = [[row[k] for k in range(size) if k != j] for row in matrix[1:]]
+        term = matrix[0][j] * _cofactor_determinant(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _random_laurent(rng):
+    if rng.random() < 0.35:
+        return ZERO
+    return LaurentPoly(rng.randint(-2, 2), [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+
+
+def test_bareiss_matches_cofactor_expansion():
+    rng = random.Random(5)
+    kinds = {"zero pivot": 0, "singular": 0}
+    for case in range(400):
+        size = rng.randint(1, 6)
+        mat = [[_random_laurent(rng) for _ in range(size)] for _ in range(size)]
+        if size >= 2 and case % 4 == 1:  # force a row swap at the first pivot
+            mat[0][0] = ZERO
+            kinds["zero pivot"] += 1
+        if size >= 2 and case % 4 == 2:  # a row that is a multiple of another
+            i, j = rng.sample(range(size), 2)
+            factor = _random_laurent(rng)
+            mat[i] = [factor * x for x in mat[j]]
+            kinds["singular"] += 1
+        want = _cofactor_determinant(mat)
+        assert laurent_determinant(mat) == want, mat
+        if size >= 2 and case % 4 == 2:
+            assert want == ZERO
+    assert laurent_determinant([[ZERO, ONE], [ONE, ZERO]]) == -ONE
+    assert laurent_determinant([[ZERO, ONE], [ZERO, ONE]]) == ZERO
+    assert min(kinds.values()) >= 75
+
+
+def test_exact_quotient():
+    a, b = lp(-1, 2, 1), lp(3, 1, -1, 4)
+    assert _exact_quotient(a * b, b) == a
+    assert _exact_quotient(ZERO, b) == ZERO
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(lp(0, 1, 1), lp(0, 2))
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(lp(0, 1, 0, 1), lp(0, 1, 1))
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(lp(0, 1, 1), lp(0, 1, 1, 1))

@@ -114,3 +114,61 @@ def test_parse_format_round_trip():
         )
         u = FreeWord(n, syllables)
         assert parse_word(format_word(u), n) == u
+
+
+# -- oracles: the merging constructions the fast paths replaced ----------------
+
+
+def _merged_product(u: FreeWord, v: FreeWord) -> FreeWord:
+    """Product by concatenating and re-reducing the whole syllable stream."""
+    return FreeWord(u.n, u.syllables + v.syllables)
+
+
+def _repeated_power(u: FreeWord, k: int) -> FreeWord:
+    base = u if k > 0 else FreeWord(u.n, [(g, -e) for g, e in reversed(u.syllables)])
+    out = FreeWord(u.n)
+    for _ in range(abs(k)):
+        out = _merged_product(out, base)
+    return out
+
+
+def _random_word(rng: random.Random, n: int, syllables: int) -> FreeWord:
+    return FreeWord(
+        n, [(rng.randint(1, n), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(syllables)]
+    )
+
+
+def test_product_matches_merged_concatenation():
+    rng = random.Random(11)
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        u = _random_word(rng, n, rng.randint(0, 8))
+        v = _random_word(rng, n, rng.randint(0, 8))
+        if rng.random() < 0.3:  # a long cancellation at the seam
+            v = u.inverse() * v
+        assert u * v == _merged_product(u, v)
+        assert (u * v).syllables == _merged_product(u, v).syllables
+
+
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(12)
+    bases = [w("x1 x2 x1^-1"), w("x1^2 x3 x2^-1 x1^-2"), w("x2^-1"), identity(3)]
+    bases += [_random_word(rng, 3, rng.randint(0, 6)) for _ in range(60)]
+    for u in bases:
+        for k in range(-9, 10):
+            assert u**k == _repeated_power(u, k), (u, k)
+    assert w("x1 x2 x1^-1") ** 1000 == w("x1 x2^1000 x1^-1")
+
+
+def test_seifert_word_matches_block_power():
+    for n, p, q, l in [(2, 3, 2, 2), (3, 2, 1, 1), (4, 7, 3, 2), (5, 5, 4, 3), (3, 8, 5, 7)]:
+        block = FreeWord(n, [(i, q) for i in range(1, n + 1)])
+        assert seifert_word(n, p, q, l) == _merged_product(
+            _repeated_power(block, l), generator(n, n, -p)
+        )
+
+
+@pytest.mark.parametrize("params", [(1, 3, 2, 2), (3, 3, 2, 0), (3, 3, 0, 1), (3, 3, 3, 1)])
+def test_seifert_word_rejects_parameters_outside_the_family(params):
+    with pytest.raises(ValueError):
+        seifert_word(*params)

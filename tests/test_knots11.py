@@ -67,11 +67,16 @@ def test_swap_and_band_swap():
 def test_reduction_pinned_traces():
     lens, trace = reduce_to_lens(KnotParams(2, 1, 3, 2))
     assert lens == (4, 1)
-    assert [label for label, _ in trace] == ["III", "III"]
+    assert trace == [("III", 2, KnotParams(0, 3, 1, 0))]
 
     lens, trace = reduce_to_lens(KnotParams(1, 2, 3, 4))
     assert lens == (1, 0)
-    assert [label for label, _ in trace] == ["swap", "IV", "IV", "swap0", "I"]
+    assert trace == [
+        ("swap", 1, KnotParams(1, 3, 2, 3)),
+        ("IV", 2, KnotParams(1, 1, 0, 1)),
+        ("swap0", 1, KnotParams(1, 0, 1, 1)),
+        ("I", 1, KnotParams(0, 0, 1, 0)),
+    ]
 
     lens, trace = reduce_to_lens(KnotParams(2, 0, 5, 2))
     assert lens == (5, 2)
@@ -79,7 +84,123 @@ def test_reduction_pinned_traces():
 
     lens, trace = reduce_to_lens(KnotParams(5, 0, 2, 5))
     assert lens == (2, 1)
-    assert [label for label, _ in trace] == ["I", "I"]
+    assert trace == [("I", 2, KnotParams(1, 0, 2, 1))]
+
+
+# -- oracle: the one-move-per-step reducer the run-length trace replaced ------
+
+
+def _subtractive_reduce(k):
+    """Reduce K(a, b, c, r) one move at a time; returns (lens, trace) with
+    one (label, state) entry per move."""
+    trace = []
+
+    def single_band(k):
+        while True:
+            if k.a == 0:
+                return normalize_lens(k.c, 0), trace
+            if k.c == 0:
+                return normalize_lens(0, k.a), trace
+            if k.a < k.c:
+                return normalize_lens(k.c, k.a), trace
+            k = KnotParams(k.a - k.c, 0, k.c, k.a - k.c)
+            trace.append(("I", k))
+
+    def aligned(k):
+        while k.a > 0 and k.b > 0 and k.c > 0:
+            k = KnotParams(k.a - 1, k.b + 1, k.c - 1, k.a - 1)
+            trace.append(("III", k))
+        if k.b > 0:
+            if k.a == 0:
+                return normalize_lens(k.b + k.c, k.b), trace
+            k = band_swap(k)
+            trace.append(("swap0", k))
+        return single_band(k)
+
+    def crossed(k):
+        if k.c > k.b:
+            k = swap(k)
+            trace.append(("swap", k))
+        while k.c > 0:
+            k = KnotParams(k.a, k.b - 1, k.c - 1, k.r - 1)
+            trace.append(("IV", k))
+        if k.b > 0:
+            k = band_swap(k)
+            trace.append(("swap0", k))
+        return single_band(k)
+
+    m, t = k.period, k.twist
+    if t == k.a % m:
+        return aligned(KnotParams(k.a, k.b, k.c, k.a))
+    if k.a > 0 and t == (k.a + k.c) % m:
+        return crossed(KnotParams(k.a, k.b, k.c, k.a + k.c))
+    if t == (k.a + k.b + k.c) % m:
+        k = swap(KnotParams(k.a, k.b, k.c, k.a + k.b + k.c))
+        trace.append(("swap", k))
+        return aligned(k)
+    raise UnsupportedTwist(f"twist {t} mod {m}")
+
+
+def _expand(start, trace):
+    """One (label, state) per move of a run-length trace that begins at
+    `start`; each run's last expanded state must be the state it records."""
+    moves = []
+    k = start
+    for label, runs, end in trace:
+        if label in ("swap", "swap0"):
+            assert runs == 1
+            k = end
+            moves.append((label, k))
+            continue
+        assert runs >= 1
+        for _ in range(runs):
+            if label == "I":
+                k = KnotParams(k.a - k.c, 0, k.c, k.a - k.c)
+            elif label == "III":
+                k = KnotParams(k.a - 1, k.b + 1, k.c - 1, k.a - 1)
+            else:
+                k = KnotParams(k.a, k.b - 1, k.c - 1, k.r - 1)
+            moves.append((label, k))
+        assert k == end
+    return moves
+
+
+def _supported_residues(a, b, c):
+    m = 2 * a + b + c
+    residues = {a % m, (a + b + c) % m}
+    if a > 0:
+        residues.add((a + c) % m)
+    return sorted(residues)
+
+
+def _start_state(k):
+    """The input with its twist lifted to the family representative a or
+    a + c; the a + b + c family opens with a swap, so its lift is unused."""
+    r = k.a if k.twist == k.a % k.period else k.a + k.c
+    return KnotParams(k.a, k.b, k.c, r)
+
+
+def test_run_length_trace_expands_to_subtractive_trace():
+    compared = 0
+    for a in range(13):
+        for b in range(13):
+            for c in range(13):
+                if a + b + c == 0:
+                    continue
+                for r in _supported_residues(a, b, c):
+                    k = KnotParams(a, b, c, r)
+                    try:
+                        want = _subtractive_reduce(k)
+                    except ValueError as exc:
+                        with pytest.raises(type(exc)):
+                            reduce_to_lens(k)
+                        continue
+                    lens, trace = reduce_to_lens(k)
+                    assert len(trace) <= 4, k
+                    assert (lens, _expand(_start_state(k), trace)) == want, k
+                    assert sum(runs for _, runs, _ in trace) == len(want[1]), k
+                    compared += 1
+    assert compared > 3500
 
 
 def test_reduction_terminal_spheres():
@@ -130,7 +251,7 @@ def test_closed_form_matches_engine():
                         continue
                     lens, trace = reduce_to_lens(k)
                     assert lens == closed, k
-                    assert len(trace) <= a + b + c + 2, k
+                    assert sum(runs for _, runs, _ in trace) <= a + b + c + 2, k
                     checked += 1
     assert checked > 300
 
