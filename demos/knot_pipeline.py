@@ -24,12 +24,12 @@ def show(n: int, p: int, q: int, l: int) -> None:
     print(f"  knot {cover.knot}, {cover.sheets}-fold branched cover")
 
     lens, trace = reduce_to_lens(cover.knot)
-    moves = sum(runs for _, runs, _ in trace)
+    moves = sum(count for _, count, _ in trace)
     runs = len(trace)
     print(f"  reduction to the ambient space ({moves} move{'s' * (moves != 1)}"
           f" in {runs} run{'s' * (runs != 1)})")
-    for label, runs, state in trace:
-        print(f"    {label:>5} x{runs} -> {state}")
+    for label, count, state in trace:
+        print(f"    {label:>5} x{count} -> {state}")
     print(f"  ambient space {lens_name(lens)}"
           f" (closed form agrees: {lens == cover.ambient})")
 

@@ -18,6 +18,7 @@ from .foxcalc import alexander_polynomial, example_knot_presentation
 from .homology import cokernel, first_homology
 from .knots11 import (
     KnotParams,
+    _one_step_moves,
     knot_from_seifert,
     lens_closed_form,
     lens_name,
@@ -80,6 +81,20 @@ def _group_line(group) -> str:
 # takes about a second, at the cell cap about 10 s (2-vCPU Xeon).
 MAX_RELATOR_SYLLABLES = 300_000
 MAX_MATRIX_CELLS = 200_000
+
+# Most moves `knot reduce` lists one by one; `knot reduce --runs` prints
+# any reduction in at most four runs. At the cap the command takes under a
+# second and prints 28 MB of JSON (2-vCPU Xeon).
+MAX_TRACE_MOVES = 300_000
+
+# One move as json.dumps(..., indent=2) writes it in the top-level "moves"
+# list (move labels are plain identifiers, so need no escaping). The
+# pure-Python indenting encoder takes several times as long on a long
+# trace, and writing move by move keeps no second copy of the output.
+_MOVE_JSON = (
+    '    [\n      "{}",\n      [\n        {},\n        {},\n        {},\n        {}\n'
+    "      ]\n    ]"
+)
 
 
 def _check_presentation_size(args: argparse.Namespace, forms: Sequence[str]) -> None:
@@ -194,16 +209,34 @@ def cmd_knot(args: argparse.Namespace) -> int:
         )
         return 0
     lens, trace = reduce_to_lens(k)
-    lines = [f"start  {k}"]
-    lines.extend(f"{label:>5} x{runs}  {state}" for label, runs, state in trace)
-    lines.append(f"result {lens_name(lens)}")
-    data = {
+    data: dict[str, Any] = {
         "start": _knot_payload(k),
-        "moves": [[label, runs, _knot_payload(state)] for label, runs, state in trace],
         "lens": list(lens),
         "name": lens_name(lens),
     }
-    _emit(args, data, "\n".join(lines))
+    if args.runs:
+        data["runs"] = [[label, runs, _knot_payload(state)] for label, runs, state in trace]
+        lines = [f"{label:>5} x{runs}  {state}" for label, runs, state in trace]
+        _emit(args, data, "\n".join([f"start  {k}", *lines, f"result {lens_name(lens)}"]))
+        return 0
+    total = sum(runs for _, runs, _ in trace)
+    if total > MAX_TRACE_MOVES:
+        raise ValueError(
+            f"trace too long: {total} moves exceed the cap of {MAX_TRACE_MOVES}; "
+            "--runs prints it in at most four runs"
+        )
+    moves = _one_step_moves(trace)
+    if args.json:
+        data["moves"] = None
+        head, tail = json.dumps(data, indent=2, sort_keys=True).split('"moves": null')
+        write = sys.stdout.write
+        write(head + '"moves": [')
+        for i, (label, state) in enumerate(moves):
+            write((",\n" if i else "\n") + _MOVE_JSON.format(label, *state))
+        write(("\n  ]" if total else "]") + tail + "\n")
+        return 0
+    lines = [f"{label:>5}  K({a},{b},{c},{r})" for label, (a, b, c, r) in moves]
+    print("\n".join([f"start  {k}", *lines, f"result {lens_name(lens)}"]))
     return 0
 
 
@@ -420,6 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seifert_args(kfrom)
     kreduce = ksub.add_parser("reduce", help="reduce a diagram move by move")
     _add_knot_args(kreduce)
+    kreduce.add_argument(
+        "--runs",
+        action="store_true",
+        help="print runs of equal moves (label, multiplicity, state after the run)",
+    )
     kambient = ksub.add_parser("ambient", help="closed-form ambient lens space")
     _add_knot_args(kambient)
     knot.set_defaults(func=cmd_knot)

@@ -163,16 +163,10 @@ def seifert_word(n: int, p: int, q: int, l: int) -> FreeWord:
     attached to the parameters (n, p, q, l).
 
     Reduced length is n*q*l + p - 2*q (the block's trailing xn^q cancels
-    into xn^-p). The syllables are written out directly: the block l
-    times, then xn^(q-p) in place of the last xn^q. Outside n >= 2,
-    l >= 1, q not in {0, p} that would not be reduced, so such input
-    is rejected.
+    into xn^-p).
     """
-    if n < 2 or l < 1 or q in (0, p):
-        raise ValueError("seifert_word needs n >= 2, l >= 1 and q not in {0, p}")
-    syllables = [(i, q) for i in range(1, n + 1)] * l
-    syllables[-1] = (n, q - p)
-    return FreeWord._reduced(n, tuple(syllables))
+    block = FreeWord(n, [(i, q) for i in range(1, n + 1)])
+    return block**l * generator(n, n, -p)
 
 
 # -- text form -------------------------------------------------------------

@@ -13,6 +13,7 @@ the closed form whenever that condition holds.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -181,6 +182,23 @@ def reduce_to_lens(k: KnotParams) -> tuple[tuple[int, int], Trace]:
     raise UnsupportedTwist(
         f"twist {t} mod {m} is not one of a, a+c, a+b+c for {k}"
     )
+
+
+def _one_step_moves(trace: Trace) -> Iterator[tuple[str, tuple[int, int, int, int]]]:
+    """The moves of a run-length trace one at a time, as (label, (a, b, c,
+    r) after the move). The j-th move before a run's end is its recorded
+    state with the run's per-move change undone j times."""
+    for label, runs, end in trace:
+        a, b, c, r = end.a, end.b, end.c, end.r
+        # one move I takes c off a (r follows a), III moves a strand of a and
+        # of c into b, IV takes one off b, c and r; a swap run is one move
+        da, db, dc, dr = {
+            "I": (c, 0, 0, c),
+            "III": (1, -1, 1, 1),
+            "IV": (0, 1, 1, 1),
+        }.get(label, (0, 0, 0, 0))
+        for j in range(runs - 1, -1, -1):
+            yield label, (a + j * da, b + j * db, c + j * dc, r + j * dr)
 
 
 def lens_closed_form(k: KnotParams) -> tuple[int, int]:

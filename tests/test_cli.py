@@ -118,14 +118,55 @@ def test_knot_reduce(capsys):
     assert code == 0
     assert data["name"] == "S^3"
     assert data["moves"] == [
+        ["swap", [1, 3, 2, 3]],
+        ["IV", [1, 2, 1, 2]],
+        ["IV", [1, 1, 0, 1]],
+        ["swap0", [1, 0, 1, 1]],
+        ["I", [0, 0, 1, 0]],
+    ]
+    assert "runs" not in data
+    code, out, _ = run_cli(capsys, "knot", "reduce", "1", "2", "3", "4")
+    assert code == 0
+    assert out.splitlines()[1:4] == [" swap  K(1,3,2,3)", "   IV  K(1,2,1,2)", "   IV  K(1,1,0,1)"]
+
+
+def test_knot_reduce_runs(capsys):
+    code, out, _ = run_cli(capsys, "--json", "knot", "reduce", "--runs", "1", "2", "3", "4")
+    data = json.loads(out)
+    assert code == 0
+    assert data["name"] == "S^3"
+    assert data["runs"] == [
         ["swap", 1, [1, 3, 2, 3]],
         ["IV", 2, [1, 1, 0, 1]],
         ["swap0", 1, [1, 0, 1, 1]],
         ["I", 1, [0, 0, 1, 0]],
     ]
-    code, out, _ = run_cli(capsys, "knot", "reduce", "1", "2", "3", "4")
+    assert "moves" not in data
+    code, out, _ = run_cli(capsys, "knot", "reduce", "1", "2", "3", "4", "--runs")
     assert code == 0
     assert out.splitlines()[1:4] == [" swap x1  K(1,3,2,3)", "   IV x2  K(1,1,0,1)", "swap0 x1  K(1,0,1,1)"]
+
+
+def test_knot_reduce_json_matches_indenting_encoder(capsys):
+    # the moves are written by hand; the result must be what json.dumps gives
+    for knot in [(1, 2, 3, 4), (5, 0, 2, 5), (0, 1, 0, 0), (7, 3, 4, 7), (3, 7, 2, 5)]:
+        code, out, _ = run_cli(capsys, "--json", "knot", "reduce", *map(str, knot))
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert json.loads(out)["moves"]
+
+
+def test_knot_reduce_move_cap(capsys):
+    # 300 000 moves I, then one more
+    code, out, _ = run_cli(capsys, "knot", "reduce", "300000", "0", "1", "300000")
+    assert code == 0
+    assert len(out.splitlines()) == cli.MAX_TRACE_MOVES + 2
+    code, out, err = run_cli(capsys, "--json", "knot", "reduce", "300001", "0", "1", "300001")
+    assert code == 1 and out == ""
+    assert "trace too long: 300001 moves" in err and "--runs" in err
+    code, out, _ = run_cli(capsys, "--json", "knot", "reduce", "--runs", "300001", "0", "1", "300001")
+    assert code == 0
+    assert json.loads(out)["runs"] == [["I", 300001, [0, 0, 1, 0]]]
 
 
 def test_knot_ambient(capsys):

@@ -166,9 +166,3 @@ def test_seifert_word_matches_block_power():
         assert seifert_word(n, p, q, l) == _merged_product(
             _repeated_power(block, l), generator(n, n, -p)
         )
-
-
-@pytest.mark.parametrize("params", [(1, 3, 2, 2), (3, 3, 2, 0), (3, 3, 0, 1), (3, 3, 3, 1)])
-def test_seifert_word_rejects_parameters_outside_the_family(params):
-    with pytest.raises(ValueError):
-        seifert_word(*params)

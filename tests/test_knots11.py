@@ -5,6 +5,7 @@ from seifknot.knots11 import (
     CoveredKnot,
     KnotParams,
     UnsupportedTwist,
+    _one_step_moves,
     band_swap,
     coincident_seifert_params,
     knot_from_seifert,
@@ -141,43 +142,12 @@ def _subtractive_reduce(k):
     raise UnsupportedTwist(f"twist {t} mod {m}")
 
 
-def _expand(start, trace):
-    """One (label, state) per move of a run-length trace that begins at
-    `start`; each run's last expanded state must be the state it records."""
-    moves = []
-    k = start
-    for label, runs, end in trace:
-        if label in ("swap", "swap0"):
-            assert runs == 1
-            k = end
-            moves.append((label, k))
-            continue
-        assert runs >= 1
-        for _ in range(runs):
-            if label == "I":
-                k = KnotParams(k.a - k.c, 0, k.c, k.a - k.c)
-            elif label == "III":
-                k = KnotParams(k.a - 1, k.b + 1, k.c - 1, k.a - 1)
-            else:
-                k = KnotParams(k.a, k.b - 1, k.c - 1, k.r - 1)
-            moves.append((label, k))
-        assert k == end
-    return moves
-
-
 def _supported_residues(a, b, c):
     m = 2 * a + b + c
     residues = {a % m, (a + b + c) % m}
     if a > 0:
         residues.add((a + c) % m)
     return sorted(residues)
-
-
-def _start_state(k):
-    """The input with its twist lifted to the family representative a or
-    a + c; the a + b + c family opens with a swap, so its lift is unused."""
-    r = k.a if k.twist == k.a % k.period else k.a + k.c
-    return KnotParams(k.a, k.b, k.c, r)
 
 
 def test_run_length_trace_expands_to_subtractive_trace():
@@ -197,7 +167,8 @@ def test_run_length_trace_expands_to_subtractive_trace():
                         continue
                     lens, trace = reduce_to_lens(k)
                     assert len(trace) <= 4, k
-                    assert (lens, _expand(_start_state(k), trace)) == want, k
+                    moves = [(label, KnotParams(*state)) for label, state in _one_step_moves(trace)]
+                    assert (lens, moves) == want, k
                     assert sum(runs for _, runs, _ in trace) == len(want[1]), k
                     compared += 1
     assert compared > 3500
