@@ -82,6 +82,13 @@ def _group_line(group) -> str:
 MAX_RELATOR_SYLLABLES = 300_000
 MAX_MATRIX_CELLS = 200_000
 
+# Most relator letters `alexander --presentation` differentiates. A Fox
+# derivative costs time linear in its relator's letters, but the minors
+# cost about the square of the entries' degrees, which the letters bound;
+# at the cap a presentation on up to six generators takes a few seconds
+# (2-vCPU Xeon). The largest presentation the benchmark sends has 91.
+MAX_RELATOR_LETTERS = 1_000
+
 # Most moves `knot reduce` lists one by one; `knot reduce --runs` prints
 # any reduction in at most four runs. At the cap the command takes under a
 # second and prints 28 MB of JSON (2-vCPU Xeon).
@@ -333,6 +340,12 @@ def cmd_alexander(args: argparse.Namespace) -> int:
         pres = example_knot_presentation()
     else:
         pres = Presentation.from_dict(_load_json(args.presentation))
+        letters = sum(len(r) for r in pres.relators)
+        if letters > MAX_RELATOR_LETTERS:
+            raise ValueError(
+                f"presentation too large: {letters} relator letters exceed the "
+                f"cap of {MAX_RELATOR_LETTERS}"
+            )
     delta = alexander_polynomial(pres)
     determinant = abs(delta(-1))
     det_text = (
@@ -357,7 +370,6 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         l_max=args.lmax,
         seed=args.seed,
         budget=args.budget,
-        fail_fast=args.fail_fast,
     )
     all_passed = all(r.passed for r in results)
     if args.json:
@@ -373,9 +385,8 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         for r in results:
             flag = "PASS" if r.passed else "FAIL"
             print(f"{flag} {r.name} ({r.seconds:.2f}s): {r.detail}")
-        done = len(results)
         print(
-            f"{sum(r.passed for r in results)}/{done} checks passed"
+            f"{sum(r.passed for r in results)}/{len(results)} checks passed"
             + ("" if all_passed else " (failure)")
         )
     return 0 if all_passed else 1
@@ -496,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     alexander.set_defaults(func=cmd_alexander)
 
     verify = commands.add_parser("verify-all", help="run every built-in check")
-    verify.add_argument("--fail-fast", action="store_true")
     for flag, default in zip(("--nmax", "--pmax", "--lmax"), GATE_GRID):
         verify.add_argument(flag, type=int, default=default)
     verify.set_defaults(func=cmd_verify_all)

@@ -161,24 +161,30 @@ def fox_derivative(
 
     Follows the product rule d(uv) = du + t^(weight of u) dv, with the
     closed form per syllable: d(x^e)/dx is 1 + t^w + ... + t^((e-1)w) for
-    e > 0 and -(t^-w + ... + t^(e w)) for e < 0.
+    e > 0 and -(t^-w + ... + t^(e w)) for e < 0. The terms are summed by
+    exponent in one pass, so the cost is linear in the word's letters.
     """
     weights = _check_weights(word.n, weights)
     if not 1 <= gen <= word.n:
         raise ValueError(f"generator index {gen} outside 1..{word.n}")
-    total = LaurentPoly()
+    coeffs: dict[int, int] = {}
     prefix = 0
     for g, e in word.syllables:
         w = weights[g - 1]
         if g == gen:
-            if e > 0:
-                for k in range(e):
-                    total += LaurentPoly.monomial(1, prefix + k * w)
-            else:
-                for k in range(1, -e + 1):
-                    total += LaurentPoly.monomial(-1, prefix - k * w)
+            sign, first = (1, prefix) if e > 0 else (-1, prefix + e * w)
+            for k in range(abs(e)):
+                exp = first + k * w
+                coeffs[exp] = coeffs.get(exp, 0) + sign
         prefix += e * w
-    return total
+    terms = {exp: c for exp, c in coeffs.items() if c}
+    if not terms:
+        return LaurentPoly()
+    low = min(terms)
+    run = [0] * (max(terms) - low + 1)
+    for exp, c in terms.items():
+        run[exp - low] = c
+    return LaurentPoly(low, run)
 
 
 def alexander_matrix(

@@ -13,15 +13,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .presentations import Presentation
 
 Matrix = list[list[int]]
 
 
+def _int_list(entries: Iterable[int]) -> list[int]:
+    """The entries as a list; anything but an int (a bool, a float, a
+    string) raises ValueError instead of being coerced."""
+    out = list(entries)
+    for x in out:
+        if type(x) is not int:
+            raise ValueError(f"entries must be integers, got {x!r}")
+    return out
+
+
 def _copy_matrix(mat: Sequence[Sequence[int]]) -> Matrix:
-    rows = [list(map(int, row)) for row in mat]
+    rows = [_int_list(row) for row in mat]
     if rows:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
@@ -327,8 +337,8 @@ def resultant(f: Sequence[int], g: Sequence[int]) -> int:
     exact rational multiplier, so the result is the true integer resultant,
     sign included. The resultant against the zero polynomial is 0.
     """
-    a = _trim(list(map(int, f)))
-    b = _trim(list(map(int, g)))
+    a = _trim(_int_list(f))
+    b = _trim(_int_list(g))
     if not a or not b:
         return 0
     sign = 1

@@ -178,7 +178,7 @@ def tietze_witnesses(
 
 
 def seifert_parameter_grid(
-    n_max: int = 6, p_max: int = 7, l_max: int = 3
+    n_max: int, p_max: int, l_max: int
 ) -> list[tuple[int, int, int, int]]:
     """All valid (n, p, q, l) with n <= n_max, q < p <= p_max, l <= l_max."""
     grid = []

@@ -1,22 +1,23 @@
 """End-to-end verification checks.
 
-Each check exercises one externally stated guarantee of the toolkit over
-an explicit parameter grid and returns (passed, detail). `run_all` wraps
-them with timing for the command line; the test suite calls the same
-functions, so the CLI and CI agree by construction.
+Each check exercises one externally stated guarantee of the toolkit. Five
+are grid checks: a test of one point returning its failure text or None,
+and a tail run once the whole grid has passed. `run_all` runs their tests
+in one walk over the grid, sharing one glued diagram per point, and times
+every check; the CLI and the acceptance tests read its results.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache, partial
 from time import perf_counter
-from typing import Callable, Iterable
+from typing import Callable
 
 from .dunwoody import (
-    GluedDiagram,
+    DiagramReport,
     check_seifert_diagram,
-    diagram_from_seifert,
     edge_partition_from_pairs,
     expected_identifications,
 )
@@ -69,90 +70,6 @@ def check_alexander_example() -> tuple[bool, str]:
     return ok, f"Delta(t) = {delta}"
 
 
-def check_tietze_grid(
-    n_max: int = GATE_GRID[0], p_max: int = GATE_GRID[1], l_max: int = GATE_GRID[2]
-) -> tuple[bool, str]:
-    """Every rewriting witness is a free-group identity, over the grid."""
-    grid = seifert_parameter_grid(n_max, p_max, l_max)
-    instances = 0
-    for point in grid:
-        for label, lhs, rhs in tietze_witnesses(*point):
-            instances += 1
-            if lhs != rhs:
-                return False, f"witness {label} fails at {point}"
-    pinned = tietze_witnesses(3, 2, 1, 1)[0]
-    expected = FreeWord(3, [(1, 2), (2, -2)])
-    if pinned[1] != expected or pinned[2] != expected:
-        return False, "pinned witness at (3,2,1,1) does not equal x1^2 x2^-2"
-    return True, f"{len(grid)} parameter tuples, {instances} identities"
-
-
-def check_homology_grid(
-    n_max: int = GATE_GRID[0], p_max: int = GATE_GRID[1], l_max: int = GATE_GRID[2]
-) -> tuple[bool, str]:
-    """Both presentations abelianize identically; the circulant shortcut
-    agrees; the order is p^(n-1)|nlq - p|, p^(n-1) times the order of H1 of
-    the ambient lens space; two pinned values hold."""
-    grid = seifert_parameter_grid(n_max, p_max, l_max)
-    for point in grid:
-        n, p, q, l = point
-        cyc = first_homology(seifert_cyclic_presentation(*point))
-        std = first_homology(standard_seifert_presentation(*point))
-        if cyc != std:
-            return False, f"H1 mismatch at {point}: {cyc} vs {std}"
-        order = circulant_order(seifert_word(*point).exponent_vector())
-        expected_order = cyc.order()
-        if (expected_order is None and order != 0) or (
-            expected_order is not None and order != expected_order
-        ):
-            return False, f"circulant order mismatch at {point}"
-        if order != p ** (n - 1) * abs(n * l * q - p):
-            return False, f"H1 order is not p^(n-1)|nlq - p| at {point}"
-    pin1 = str(first_homology(seifert_cyclic_presentation(3, 2, 1, 1)))
-    pin2 = str(first_homology(seifert_cyclic_presentation(2, 3, 2, 2)))
-    if pin1 != "Z/2 + Z/2":
-        return False, f"pinned H1 at (3,2,1,1) is {pin1}"
-    if pin2 != "Z/15":
-        return False, f"pinned H1 at (2,3,2,2) is {pin2}"
-    return True, f"{len(grid)} parameter tuples, H1 equal both routes"
-
-
-def check_diagram_grid(
-    n_max: int = GATE_GRID[0], p_max: int = GATE_GRID[1], l_max: int = GATE_GRID[2]
-) -> tuple[bool, str]:
-    """Every diagram on the grid has counts (1, n, n, 1) and reads off the
-    cyclic presentation's relators."""
-    grid = seifert_parameter_grid(n_max, p_max, l_max)
-    for point in grid:
-        n = point[0]
-        report = check_seifert_diagram(*point)
-        if report.counts != (1, n, n, 1):
-            return False, f"counts {report.counts} at {point}"
-        if not report.criterion or not report.relators_match:
-            return False, f"diagram check fails at {point}"
-    return True, f"{len(grid)} diagrams, all (1,n,n,1) with matching relators"
-
-
-def check_identification_rules(
-    n_max: int = GATE_GRID[0], p_max: int = GATE_GRID[1], l_max: int = GATE_GRID[2]
-) -> tuple[bool, str]:
-    """On the aligned branch, the glued edge identifications are exactly
-    the two closed-form families, orientations included."""
-    grid = [pt for pt in seifert_parameter_grid(n_max, p_max, l_max) if pt[1] >= 2 * pt[2]]
-    for point in grid:
-        params = diagram_from_seifert(*point)
-        if params.s != 0 or params.r != params.a + params.c:
-            return False, f"unexpected gluing data {params} at {point}"
-        diagram = GluedDiagram(params)
-        pairs = expected_identifications(params.a, params.b, params.c, params.n)
-        if len(pairs) != params.n * diagram.tessellation.cycle_length:
-            return False, f"rule count off at {point}"
-        oracle = edge_partition_from_pairs(diagram.tessellation.edges, pairs)
-        if oracle != diagram.edge_location:
-            return False, f"identification mismatch at {point}"
-    return True, f"{len(grid)} aligned-branch points, partitions identical"
-
-
 def check_lens_closed_forms(limit: int = 12) -> tuple[bool, str]:
     """The run-length reduction agrees with the closed forms for every
     strand triple up to the limit, under the per-family coprimality; the
@@ -201,51 +118,6 @@ def check_lens_closed_forms(limit: int = 12) -> tuple[bool, str]:
                         break
                     return False, f"twist {probe} accepted on K({a},{b},{c},.)"
     return True, f"{checked} reductions agree, {rejected} coprimality rejections"
-
-
-def check_parameter_consistency(
-    n_max: int = GATE_GRID[0], p_max: int = GATE_GRID[1], l_max: int = GATE_GRID[2]
-) -> tuple[bool, str]:
-    """The knot attached to each grid point reduces to its stated ambient
-    space, and the coincident-parameter pairs match their closed forms and
-    abelianizations (n up to 8)."""
-    grid = seifert_parameter_grid(n_max, p_max, l_max)
-    for n, p, q, l in grid:
-        cover = knot_from_seifert(n, p, q, l)
-        k = cover.knot
-        expected_r = k.a + k.c if cover.shift == 0 else k.a
-        if k.r != p - q or k.r != expected_r:
-            return False, f"twist {k.r} off at {(n, p, q, l)}"
-        if lens_closed_form(k) != cover.ambient:
-            return False, f"closed form disagrees at {(n, p, q, l)}"
-        lens, trace = reduce_to_lens(k)
-        if lens != cover.ambient:
-            return False, f"reduction disagrees at {(n, p, q, l)}"
-        if sum(runs for _, runs, _ in trace) > k.a + k.b + k.c + 2:
-            return False, f"trace too long at {(n, p, q, l)}"
-    pairs = 0
-    for n in range(3, 9):
-        for p in range(2, 8):
-            t1, t2 = coincident_seifert_params(n, p)
-            cov1, cov2 = knot_from_seifert(*t1), knot_from_seifert(*t2)
-            if p == 2:
-                want1 = KnotParams(1, n - 2, 0, 1)
-                want2 = KnotParams(1, 2 * n - 4, 0, 1)
-            else:
-                want1 = KnotParams(1, p - 2, (p - 1) * (n - 2), 1)
-                want2 = KnotParams(1, p - 2, (p - 1) * (n * p - p - 2), 1)
-            if cov1.knot != want1 or cov2.knot != want2:
-                return False, f"pair knots off for n={n}, p={p}"
-            if cov1.ambient != normalize_lens(n * p - n - p, p - 1):
-                return False, f"pair ambient off for n={n}, p={p}"
-            if cov2.ambient != normalize_lens(p * (n * p - n - p), p - 1):
-                return False, f"pair ambient off for n={n}, p={p}"
-            h1 = first_homology(seifert_cyclic_presentation(*t1))
-            h2 = first_homology(seifert_cyclic_presentation(*t2))
-            if h1 != h2:
-                return False, f"pair H1 split for n={n}, p={p}: {h1} vs {h2}"
-            pairs += 1
-    return True, f"{len(grid)} covers consistent, {pairs} coincident pairs agree"
 
 
 def check_determinant_bridge() -> tuple[bool, str]:
@@ -367,6 +239,132 @@ def check_property_suite(seed: int = 0) -> tuple[bool, str]:
     )
 
 
+# -- the grid checks, one point at a time -------------------------------------
+
+# A test gets the point and a callable building its report once. No alias
+# for that callable: typing would cache it, and with it each import.
+Point = tuple[int, int, int, int]
+
+
+def _tietze_at(point: Point, report: Callable[[], DiagramReport]) -> str | None:
+    """Every rewriting witness is a free-group identity."""
+    for label, lhs, rhs in tietze_witnesses(*point):
+        if lhs != rhs:
+            return f"witness {label} fails at {point}"
+    return None
+
+
+def _tietze_tail(grid: list[Point]) -> tuple[bool, str]:
+    pinned = tietze_witnesses(3, 2, 1, 1)[0]
+    expected = FreeWord(3, [(1, 2), (2, -2)])
+    if pinned[1] != expected or pinned[2] != expected:
+        return False, "pinned witness at (3,2,1,1) does not equal x1^2 x2^-2"
+    instances = sum(2 * n - 2 for n, _, _, _ in grid)  # n - 1 descents, n - 1 rotations
+    return True, f"{len(grid)} parameter tuples, {instances} identities"
+
+
+def _homology_at(point: Point, report: Callable[[], DiagramReport]) -> str | None:
+    """Both presentations abelianize identically, the circulant shortcut
+    agrees, and the order is p^(n-1) times |H1| of the lens space L(nlq-p, q)."""
+    n, p, q, l = point
+    cyc = first_homology(seifert_cyclic_presentation(*point))
+    std = first_homology(standard_seifert_presentation(*point))
+    if cyc != std:
+        return f"H1 mismatch at {point}: {cyc} vs {std}"
+    order = circulant_order(seifert_word(*point).exponent_vector())
+    if order != (cyc.order() or 0):  # 0 stands for an infinite H1
+        return f"circulant order mismatch at {point}"
+    if order != p ** (n - 1) * abs(n * l * q - p):
+        return f"H1 order is not p^(n-1)|nlq - p| at {point}"
+    return None
+
+
+def _homology_tail(grid: list[Point]) -> tuple[bool, str]:
+    pin1 = str(first_homology(seifert_cyclic_presentation(3, 2, 1, 1)))
+    pin2 = str(first_homology(seifert_cyclic_presentation(2, 3, 2, 2)))
+    if pin1 != "Z/2 + Z/2":
+        return False, f"pinned H1 at (3,2,1,1) is {pin1}"
+    if pin2 != "Z/15":
+        return False, f"pinned H1 at (2,3,2,2) is {pin2}"
+    return True, f"{len(grid)} parameter tuples, H1 equal both routes"
+
+
+def _diagram_at(point: Point, report: Callable[[], DiagramReport]) -> str | None:
+    """The diagram has counts (1, n, n, 1) and reads off the cyclic
+    presentation's relators."""
+    built = report()
+    if built.counts != (1, point[0], point[0], 1):
+        return f"counts {built.counts} at {point}"
+    if not built.criterion or not built.relators_match:
+        return f"diagram check fails at {point}"
+    return None
+
+
+def _identification_at(point: Point, report: Callable[[], DiagramReport]) -> str | None:
+    """On the aligned branch p >= 2q, the glued edge identifications are
+    exactly the two closed-form families, orientations included."""
+    if point[1] < 2 * point[2]:
+        return None
+    params, diagram = report().params, report().diagram
+    if params.s != 0 or params.r != params.a + params.c:
+        return f"unexpected gluing data {params} at {point}"
+    pairs = expected_identifications(params.a, params.b, params.c, params.n)
+    if len(pairs) != params.n * diagram.tessellation.cycle_length:
+        return f"rule count off at {point}"
+    if edge_partition_from_pairs(diagram.tessellation.edges, pairs) != diagram.edge_location:
+        return f"identification mismatch at {point}"
+    return None
+
+
+def _cover_at(point: Point, report: Callable[[], DiagramReport]) -> str | None:
+    """The knot attached to the point reduces to its stated ambient space."""
+    n, p, q, l = point
+    cover = knot_from_seifert(n, p, q, l)
+    k = cover.knot
+    expected_r = k.a + k.c if cover.shift == 0 else k.a
+    if k.r != p - q or k.r != expected_r:
+        return f"twist {k.r} off at {point}"
+    if lens_closed_form(k) != cover.ambient:
+        return f"closed form disagrees at {point}"
+    lens, trace = reduce_to_lens(k)
+    if lens != cover.ambient:
+        return f"reduction disagrees at {point}"
+    if sum(runs for _, runs, _ in trace) > k.a + k.b + k.c + 2:
+        return f"trace too long at {point}"
+    return None
+
+
+def _coincident_pairs(grid: list[Point]) -> tuple[bool, str]:
+    """The coincident-parameter pairs match their closed forms and
+    abelianizations (n up to 8)."""
+    pairs = 0
+    for n in range(3, 9):
+        for p in range(2, 8):
+            t1, t2 = coincident_seifert_params(n, p)
+            cov1, cov2 = knot_from_seifert(*t1), knot_from_seifert(*t2)
+            if p == 2:
+                want1 = KnotParams(1, n - 2, 0, 1)
+                want2 = KnotParams(1, 2 * n - 4, 0, 1)
+            else:
+                want1 = KnotParams(1, p - 2, (p - 1) * (n - 2), 1)
+                want2 = KnotParams(1, p - 2, (p - 1) * (n * p - p - 2), 1)
+            if cov1.knot != want1 or cov2.knot != want2:
+                return False, f"pair knots off for n={n}, p={p}"
+            if cov1.ambient != normalize_lens(n * p - n - p, p - 1) or (
+                cov2.ambient != normalize_lens(p * (n * p - n - p), p - 1)
+            ):
+                return False, f"pair ambient off for n={n}, p={p}"
+            h1 = first_homology(seifert_cyclic_presentation(*t1))
+            h2 = first_homology(seifert_cyclic_presentation(*t2))
+            if h1 != h2:
+                return False, f"pair H1 split for n={n}, p={p}: {h1} vs {h2}"
+            pairs += 1
+    return True, f"{len(grid)} covers consistent, {pairs} coincident pairs agree"
+
+
+# -- running the checks --------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -375,63 +373,64 @@ class CheckResult:
     seconds: float
 
 
-CheckFn = Callable[[], tuple[bool, str]]
-
-
-def _named_checks(
-    n_max: int, p_max: int, l_max: int, seed: int, budget: int
-) -> list[tuple[str, CheckFn]]:
-    return [
-        ("alexander-example", check_alexander_example),
-        ("tietze-grid", lambda: check_tietze_grid(n_max, p_max, l_max)),
-        ("homology-grid", lambda: check_homology_grid(n_max, p_max, l_max)),
-        ("diagram-grid", lambda: check_diagram_grid(n_max, p_max, l_max)),
-        (
-            "identification-rules",
-            lambda: check_identification_rules(n_max, p_max, l_max),
-        ),
-        ("lens-closed-forms", check_lens_closed_forms),
-        (
-            "parameter-consistency",
-            lambda: check_parameter_consistency(n_max, p_max, l_max),
-        ),
-        ("determinant-bridge", check_determinant_bridge),
-        ("hom-counts", lambda: check_hom_counts(budget)),
-        ("property-suite", lambda: check_property_suite(seed)),
-    ]
-
-
-def run_named_check(name: str, fn: CheckFn) -> CheckResult:
-    start = perf_counter()
-    try:
-        passed, detail = fn()
-    except Exception as exc:  # report, never hide, an unexpected blowup
-        passed, detail = False, f"{type(exc).__name__}: {exc}"
-    return CheckResult(name, passed, detail, perf_counter() - start)
-
-
 def run_all(
     n_max: int = GATE_GRID[0],
     p_max: int = GATE_GRID[1],
     l_max: int = GATE_GRID[2],
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    fail_fast: bool = False,
 ) -> list[CheckResult]:
-    """Run every check in order. A grid with no parameter tuple, which
-    would let the grid checks pass vacuously, and a budget below 1 raise
-    ValueError before any check runs."""
-    if not seifert_parameter_grid(n_max, p_max, l_max):
+    """Run the ten checks, the grid checks' tests in one walk over the
+    grid, each until its first failure; an exception fails only the check
+    whose test raised. Then every check whose grid passed runs its tail.
+    A check's seconds are its tests', its tail's and those of the shared
+    diagrams it read first. A grid with no parameter tuple (the grid
+    checks would pass vacuously) and a budget below 1 raise ValueError."""
+    grid = seifert_parameter_grid(n_max, p_max, l_max)
+    if not grid:
         raise ValueError(
             f"the grid n <= {n_max}, p <= {p_max}, l <= {l_max} has no parameter "
             "tuple: need n_max >= 2, p_max >= 2, l_max >= 1 (l_max >= 2 when n_max = 2)"
         )
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    aligned = sum(p >= 2 * q for _, p, q, _ in grid)
+    checks = [  # name, test of one grid point or None, tail
+        ("alexander-example", None, check_alexander_example),
+        ("tietze-grid", _tietze_at, lambda: _tietze_tail(grid)),
+        ("homology-grid", _homology_at, lambda: _homology_tail(grid)),
+        ("diagram-grid", _diagram_at, lambda: (
+            True, f"{len(grid)} diagrams, all (1,n,n,1) with matching relators")),
+        ("identification-rules", _identification_at, lambda: (
+            True, f"{aligned} aligned-branch points, partitions identical")),
+        ("lens-closed-forms", None, check_lens_closed_forms),
+        ("parameter-consistency", _cover_at, lambda: _coincident_pairs(grid)),
+        ("determinant-bridge", None, check_determinant_bridge),
+        ("hom-counts", None, lambda: check_hom_counts(budget)),
+        ("property-suite", None, lambda: check_property_suite(seed)),
+    ]
+    failures: dict[str, str | None] = {name: None for name, _, _ in checks}
+    seconds = dict.fromkeys(failures, 0.0)
+    for point in grid:
+        report = cache(partial(check_seifert_diagram, *point))
+        for name, test, _ in checks:
+            if test is not None and failures[name] is None:
+                start = perf_counter()
+                try:
+                    failures[name] = test(point, report)
+                except Exception as exc:  # fails this check only
+                    failures[name] = f"{type(exc).__name__}: {exc}"
+                seconds[name] += perf_counter() - start
+    del report  # nothing built for a point outlives it
     results = []
-    for name, fn in _named_checks(n_max, p_max, l_max, seed, budget):
-        result = run_named_check(name, fn)
-        results.append(result)
-        if fail_fast and not result.passed:
-            break
+    for name, _, tail in checks:
+        start = perf_counter()
+        passed, detail = False, failures[name]
+        if detail is None:
+            try:
+                passed, detail = tail()
+            except Exception as exc:  # report, never hide, an unexpected blowup
+                passed, detail = False, f"{type(exc).__name__}: {exc}"
+        seconds[name] += perf_counter() - start
+        results.append(CheckResult(name, passed, detail, seconds[name]))
     return results

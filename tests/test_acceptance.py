@@ -3,7 +3,7 @@ budget, printing a PASS/FAIL line so the run is auditable from the log."""
 
 import pytest
 
-from seifknot.verify import DEFAULT_BUDGET, GATE_GRID, _named_checks, run_named_check
+from seifknot.verify import GATE_GRID, run_all
 
 TIME_BOUNDS = {
     "alexander-example": 1.0,
@@ -18,16 +18,19 @@ TIME_BOUNDS = {
     "property-suite": 30.0,
 }
 
-CHECKS = _named_checks(*GATE_GRID, seed=0, budget=DEFAULT_BUDGET)
+
+@pytest.fixture(scope="module")
+def results():
+    return {result.name: result for result in run_all(*GATE_GRID)}
 
 
-def test_every_check_has_a_bound():
-    assert {name for name, _ in CHECKS} == set(TIME_BOUNDS)
+def test_every_check_has_a_bound(results):
+    assert set(results) == set(TIME_BOUNDS)
 
 
-@pytest.mark.parametrize("name,check", CHECKS, ids=[name for name, _ in CHECKS])
-def test_criterion(name, check, capsys):
-    result = run_named_check(name, check)
+@pytest.mark.parametrize("name", list(TIME_BOUNDS))
+def test_criterion(name, results, capsys):
+    result = results[name]
     line = (
         f"{'PASS' if result.passed else 'FAIL'} {result.name} "
         f"({result.seconds:.2f}s): {result.detail}"

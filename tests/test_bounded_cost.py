@@ -9,6 +9,8 @@ from time import perf_counter
 import pytest
 
 from seifknot.cli import main
+from seifknot.foxcalc import LaurentPoly, fox_derivative
+from seifknot.freegroup import FreeWord
 from seifknot.presentations import seifert_cyclic_presentation
 
 
@@ -61,3 +63,15 @@ def test_alexander_is_bounded(tmp_path, capsys):
     data, seconds = timed_json(capsys, "alexander", "--presentation", str(path))
     assert seconds < 2.0
     assert data["alexander"] == "1"
+
+
+def test_fox_derivative_is_bounded():
+    # 21.6 s before: one Laurent-polynomial sum per letter, each copying
+    # the whole coefficient run
+    e = 8000
+    word = FreeWord(2, [(1, e), (2, 1), (1, -e), (2, -1)])  # x^e y x^-e y^-1
+    start = perf_counter()
+    by_x, by_y = fox_derivative(word, 1), fox_derivative(word, 2)
+    assert perf_counter() - start < 0.5
+    assert by_x == LaurentPoly(0, [1] + [0] * (e - 1) + [-1])  # 1 - t^e
+    assert by_y == -by_x

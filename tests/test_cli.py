@@ -312,6 +312,22 @@ def test_alexander_from_file(tmp_path, capsys):
     assert "|Delta(-1)| = 15" in out
 
 
+def test_alexander_letter_cap(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "pres.json"
+
+    def run(e):  # x^e y x^-e y^-1 has 2e + 2 letters
+        path.write_text(json.dumps({"generators": ["x", "y"], "relators": [f"x^{e} y x^-{e} y^-1"]}))
+        return run_cli(capsys, "--json", "alexander", "--presentation", str(path))
+
+    code, out, _ = run(499)  # 1000 letters, at the cap
+    assert code == 0
+    assert json.loads(out) == {"alexander": "1 - t^499", "determinant": "2", "terms": [[0, 1], [499, -1]]}
+    monkeypatch.setattr(cli, "alexander_polynomial", pytest.fail)
+    code, out, err = run(500)
+    assert code == 1 and out == ""
+    assert "1002 relator letters exceed the cap of 1000" in err
+
+
 @pytest.mark.parametrize(
     "pres,bad",
     [
@@ -347,7 +363,7 @@ def test_alexander_rejects_malformed_presentation(tmp_path, capsys, pres, bad):
     ids=["all", "nmax", "pmax", "lmax", "n2-l1"],
 )
 def test_verify_all_rejects_an_empty_grid(capsys, monkeypatch, argv):
-    monkeypatch.setattr("seifknot.verify._named_checks", pytest.fail)
+    monkeypatch.setattr("seifknot.verify._tietze_at", pytest.fail)  # the first step
     code, out, err = run_cli(capsys, "--json", *argv)
     assert code == 1 and out == ""
     assert "has no parameter tuple" in err
@@ -355,7 +371,7 @@ def test_verify_all_rejects_an_empty_grid(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("budget", ["-5", "0"])
 def test_verify_all_rejects_a_budget_below_one(capsys, monkeypatch, budget):
-    monkeypatch.setattr("seifknot.verify._named_checks", pytest.fail)
+    monkeypatch.setattr("seifknot.verify._tietze_at", pytest.fail)  # the first step
     code, out, err = run_cli(capsys, "--budget", budget, "verify-all", "--nmax", "3")
     assert code == 1 and out == ""
     assert f"budget must be at least 1, got {budget}" in err
@@ -435,3 +451,23 @@ def test_module_runs_as_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"rank": 0, "torsion": [15]}
+
+
+def test_a_fresh_import_frees_the_old_package():
+    # a module-level typing alias naming one of the package's classes sits
+    # in typing's cache and would keep each import's classes alive
+    script = """
+import gc, importlib, sys, weakref
+importlib.import_module("seifknot.cli")
+refs = [weakref.ref(obj) for name, mod in sys.modules.items() if name.startswith("seifknot")
+        for obj in vars(mod).values() if isinstance(obj, type) and obj.__module__ == name]
+for name in [n for n in sys.modules if n.startswith("seifknot")]:
+    del sys.modules[name]
+importlib.import_module("seifknot.cli")
+gc.collect()
+print(len(refs), sum(ref() is not None for ref in refs))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    classes, alive = map(int, proc.stdout.split())
+    assert classes > 10 and alive == 0

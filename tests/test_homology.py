@@ -19,7 +19,7 @@ from seifknot.presentations import (
     seifert_parameter_grid,
     standard_seifert_presentation,
 )
-from seifknot.verify import GATE_GRID, check_homology_grid
+from seifknot.verify import GATE_GRID, run_all
 
 
 def test_bareiss_determinant():
@@ -148,7 +148,24 @@ def test_h1_order_is_p_power_times_ambient_lens_order():
         assert order == p ** (n - 1) * abs(n * l * q - p), (n, p, q, l)
         assert knot_from_seifert(n, p, q, l).ambient[0] == abs(n * l * q - p)
     # the stricter check keeps its detail string
-    assert check_homology_grid(4, 5, 2) == (
+    result = next(r for r in run_all(4, 5, 2) if r.name == "homology-grid")
+    assert (result.passed, result.detail) == (
         True,
         "45 parameter tuples, H1 equal both routes",
     )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: smith_normal_form([[1.5, 2.0]]),
+        lambda: cokernel([[True, 2]], 2),
+        lambda: resultant([1.9, 1], ["3", 1]),
+        lambda: bareiss_determinant([[2.7]]),
+    ],
+    ids=["snf-float", "cokernel-bool", "resultant-float-string", "bareiss-float"],
+)
+def test_entries_are_never_coerced(call):
+    # each of these once truncated its entries with int()
+    with pytest.raises(ValueError, match="entries must be integers"):
+        call()

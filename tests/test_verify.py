@@ -3,7 +3,11 @@ failure at one grid point fails only the check whose step failed."""
 
 import hashlib
 
+import pytest
+
+from seifknot import verify
 from seifknot.cli import main
+from seifknot.presentations import seifert_parameter_grid
 
 SMALL_GRID_JSON = """\
 {
@@ -84,3 +88,94 @@ def test_gate_grid_json_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "--json", "verify-all")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GATE_GRID_SHA256
+
+
+SMALL_GRID = (3, 4, 2)
+
+
+def fail_at(monkeypatch, attr, points, exc=None):
+    """Make the grid test `verify.<attr>` fail at the given points (raising
+    `exc` if given, else returning a failure text); return the points at
+    which the test ran."""
+    original = getattr(verify, attr)
+    seen = []
+
+    def test(point, report):
+        seen.append(point)
+        if point in points:
+            if exc is not None:
+                raise exc
+            return f"planted failure at {point}"
+        return original(point, report)
+
+    monkeypatch.setattr(verify, attr, test)
+    return seen
+
+
+def break_diagrams(monkeypatch, points):
+    """Make building the diagram report raise at the given points; return
+    the points at which a report was built."""
+    original = verify.check_seifert_diagram
+    seen = []
+
+    def build(*point):
+        seen.append(point)
+        if point in points:
+            raise RuntimeError("no diagram")
+        return original(*point)
+
+    monkeypatch.setattr(verify, "check_seifert_diagram", build)
+    return seen
+
+
+@pytest.fixture
+def quick_plain_checks(monkeypatch):
+    """Stand-ins for the slow checks that do not walk the grid."""
+    for attr in ("check_lens_closed_forms", "check_hom_counts", "check_property_suite"):
+        monkeypatch.setattr(verify, attr, lambda *args: (True, "stand-in"))
+
+
+def outcomes(results):
+    return {r.name: (r.passed, r.detail) for r in results}
+
+
+def test_an_exception_at_one_point_fails_only_its_check(monkeypatch):
+    fail_at(monkeypatch, "_homology_at", [(3, 3, 1, 2)], ZeroDivisionError("planted"))
+    results = verify.run_all(*SMALL_GRID)
+    assert len({r.name for r in results}) == len(results) == 10
+    failed = {r.name: r.detail for r in results if not r.passed}
+    assert failed == {"homology-grid": "ZeroDivisionError: planted"}
+
+
+def test_a_check_reports_its_first_failing_point_and_stops(monkeypatch, quick_plain_checks):
+    grid = seifert_parameter_grid(*SMALL_GRID)
+    first, later = grid[4], grid[9]
+    seen = fail_at(monkeypatch, "_cover_at", [later, first])
+    result = outcomes(verify.run_all(*SMALL_GRID))
+    assert result["parameter-consistency"] == (False, f"planted failure at {first}")
+    assert seen == grid[:5]
+    assert all(passed for name, (passed, _) in result.items() if name != "parameter-consistency")
+
+
+@pytest.mark.parametrize(
+    "point, failing",
+    [
+        ((3, 3, 2, 1), {"diagram-grid"}),  # p < 2q: identification-rules skips it
+        ((3, 4, 1, 1), {"diagram-grid", "identification-rules"}),
+    ],
+    ids=["crossed", "aligned"],
+)
+def test_a_diagram_that_cannot_be_built_fails_the_checks_reading_it(
+    monkeypatch, quick_plain_checks, point, failing
+):
+    break_diagrams(monkeypatch, [point])
+    result = outcomes(verify.run_all(*SMALL_GRID))
+    assert {name for name, (passed, _) in result.items() if not passed} == failing
+    for name in failing:
+        assert result[name] == (False, "RuntimeError: no diagram")
+
+
+def test_one_diagram_per_grid_point(monkeypatch, quick_plain_checks):
+    seen = break_diagrams(monkeypatch, [])
+    assert all(r.passed for r in verify.run_all(*SMALL_GRID))
+    assert seen == seifert_parameter_grid(*SMALL_GRID)
