@@ -17,7 +17,6 @@ by exact integer computation, that they agree:
 
 from .dunwoody import (
     DiagramParams,
-    DiagramReport,
     GluedDiagram,
     GluingError,
     Tessellation,
@@ -38,7 +37,6 @@ from .foxcalc import (
 from .freegroup import (
     FreeWord,
     commutator,
-    conjugate,
     format_word,
     generator,
     identity,
@@ -90,7 +88,6 @@ __all__ = [
     "CheckResult",
     "CoveredKnot",
     "DiagramParams",
-    "DiagramReport",
     "FreeWord",
     "GluedDiagram",
     "GluingError",
@@ -108,7 +105,6 @@ __all__ = [
     "coincident_seifert_params",
     "cokernel",
     "commutator",
-    "conjugate",
     "count_homomorphisms",
     "cyclic_presentation",
     "diagram_from_seifert",

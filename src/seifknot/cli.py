@@ -283,51 +283,35 @@ def cmd_dunwoody(args: argparse.Namespace) -> int:
     if args.action == "check":
         # the knot of (n, p, q, l) has 2a + b + c = nql + p - 2q strands
         _check_glued_slots(args.n, args.n * args.q * args.l + args.p - 2 * args.q)
-        report = check_seifert_diagram(args.n, args.p, args.q, args.l)
-        diagram = report.diagram
-        data: dict[str, Any] = {
-            "params": [
-                report.params.a,
-                report.params.b,
-                report.params.c,
-                report.params.n,
-                report.params.r,
-                report.params.s,
-            ],
-            "counts": list(report.counts),
-            "criterion": report.criterion,
-            "relators_match": report.relators_match,
-        }
-        lines = [
-            f"gluing data {report.params}",
-            "counts (vertices, edge classes, faces, cells) = "
-            + str(report.counts),
-            f"one-vertex / n-edge criterion: {'yes' if report.criterion else 'no'}",
-            f"relators match cyclic presentation: "
-            f"{'yes' if report.relators_match else 'no'}",
-        ]
-        ok = report.criterion and report.relators_match
+        diagram, relators_match = check_seifert_diagram(args.n, args.p, args.q, args.l)
     else:
         _check_glued_slots(args.n, 2 * args.a + args.b + args.c)
-        params = DiagramParams(args.a, args.b, args.c, args.n, args.r, args.s)
-        diagram = GluedDiagram(params)
-        counts = diagram.counts()
-        criterion = diagram.satisfies_cover_criterion()
-        data = {
-            "params": [params.a, params.b, params.c, params.n, params.r, params.s],
-            "counts": list(counts),
-            "criterion": criterion,
-        }
-        lines = [
-            f"gluing data {params}",
-            f"counts (vertices, edge classes, faces, cells) = {counts}",
-            f"one-vertex / n-edge criterion: {'yes' if criterion else 'no'}",
-        ]
-        if criterion:
-            words = diagram.read_off_words()
-            data["relators"] = [str(w) for w in words]
-            lines.append("read-off relators: " + ", ".join(str(w) for w in words))
-        ok = True
+        diagram = GluedDiagram(
+            DiagramParams(args.a, args.b, args.c, args.n, args.r, args.s)
+        )
+    params, counts = diagram.params, diagram.counts()
+    criterion = diagram.satisfies_cover_criterion()
+    data: dict[str, Any] = {
+        "params": [params.a, params.b, params.c, params.n, params.r, params.s],
+        "counts": list(counts),
+        "criterion": criterion,
+    }
+    lines = [
+        f"gluing data {params}",
+        f"counts (vertices, edge classes, faces, cells) = {counts}",
+        f"one-vertex / n-edge criterion: {'yes' if criterion else 'no'}",
+    ]
+    ok = True
+    if args.action == "check":
+        ok = relators_match  # false too when the criterion fails
+        data["relators_match"] = relators_match
+        lines.append(
+            f"relators match cyclic presentation: {'yes' if relators_match else 'no'}"
+        )
+    elif criterion:
+        words = [str(w) for w in diagram.read_off_words()]
+        data["relators"] = words
+        lines.append("read-off relators: " + ", ".join(words))
     if args.edges:
         data["edge_classes"] = _edge_classes_payload(diagram)
         lines.extend(_edge_classes_lines(diagram))
@@ -347,12 +331,7 @@ def cmd_alexander(args: argparse.Namespace) -> int:
                 f"cap of {MAX_RELATOR_LETTERS}"
             )
     delta = alexander_polynomial(pres)
-    determinant = abs(delta(-1))
-    det_text = (
-        str(determinant.numerator)
-        if determinant.denominator == 1
-        else str(determinant)
-    )
+    det_text = str(abs(delta(-1)))
     data = {
         "alexander": str(delta),
         "terms": [[e, c] for e, c in delta.terms()],

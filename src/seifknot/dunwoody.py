@@ -21,14 +21,14 @@ the order of `Tessellation.edges`. Vertices are numbered 0..V-1 after the
 identifications that degenerate strand counts force. Each face boundary
 is stored once as lists of edge ids, traversal signs and corner vertices,
 and the gluing runs a list-backed union-find over those ids. The tuple
-forms (`Tessellation.edges`, `upper_boundary`, `lower_boundary`,
-`GluedDiagram.edge_location`, `GluedDiagram.edge_classes`) are built from
-the integer results when they are first read.
+forms (`Tessellation.edges`, `GluedDiagram.edge_location`,
+`GluedDiagram.edge_classes`) are built from the integer results when they
+are first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -36,7 +36,6 @@ from .freegroup import FreeWord, seifert_word
 from .knots11 import knot_from_seifert
 
 Edge = tuple[str, int, int]
-Slot = tuple[Edge, int]
 
 # raw vertex ids of the poles; the inner vertices of each sheet follow
 _SOUTH = 0
@@ -197,7 +196,12 @@ class Tessellation:
             self._head += chain[1:]
 
         # face boundaries as (edge ids, signs, corners), face i at index i - 1;
-        # the corners are filled in by the boundary walk
+        # signs are traversal directions, and the corners are filled in by
+        # the boundary walk. The face above arc i starts at the north pole:
+        # down the top of meridian i, backwards along the arc, then up the
+        # middle and top of meridian i - 1. The face below it starts at the
+        # south pole: up the bottom of meridian i - 1, along the arc, then
+        # down the middle and bottom of meridian i.
         self._upper: list[tuple[list[int], list[int], list[int]]] = []
         self._lower: list[tuple[list[int], list[int], list[int]]] = []
         up_signs = [-1] * (a + c) + [1] * (a + b)
@@ -219,7 +223,7 @@ class Tessellation:
             self._upper.append((upper, up_signs, []))
             self._lower.append((lower, low_signs, []))
         self._check_boundaries(vertex_of[_NORTH], vertex_of[_SOUTH])
-        if self.euler_characteristic() != 2:
+        if self.num_vertices - self.num_edges + 2 * n != 2:  # 2n faces
             raise ValueError(
                 f"strand counts a={a}, b={b}, c={c} with n={n} force vertex "
                 "identifications that do not tessellate a sphere"
@@ -245,31 +249,6 @@ class Tessellation:
         return [("m", i, j) for i in meridians for j in range(1, m + 1)] + [
             ("a", i, j) for i in meridians for j in range(1, c + 1)
         ]
-
-    @property
-    def num_faces(self) -> int:
-        return 2 * self.n
-
-    def euler_characteristic(self) -> int:
-        return self.num_vertices - self.num_edges + self.num_faces
-
-    def _slots(self, face: tuple[list[int], list[int], list[int]]) -> list[Slot]:
-        edges = self.edges
-        return [(edges[e], sign) for e, sign in zip(face[0], face[1])]
-
-    def upper_boundary(self, i: int) -> list[Slot]:
-        """Boundary of the face above arc i, starting at the north pole:
-        down the top of meridian i, backwards along the arc, then up the
-        middle and top of meridian i-1. Signs are traversal directions.
-        """
-        return self._slots(self._upper[i - 1])
-
-    def lower_boundary(self, i: int) -> list[Slot]:
-        """Boundary of the face below arc i, starting at the south pole:
-        up the bottom of meridian i-1, along the arc, then down the middle
-        and bottom of meridian i.
-        """
-        return self._slots(self._lower[i - 1])
 
     def _check_boundaries(self, north: int, south: int) -> None:
         """Check that every face boundary chains from its base pole back to
@@ -379,10 +358,6 @@ class GluedDiagram:
             1,
         )
 
-    def euler_characteristic(self) -> int:
-        v, e, f, cells = self.counts()
-        return v - e + f - cells
-
     def satisfies_cover_criterion(self) -> bool:
         """One vertex class and exactly n edge classes: the condition for
         the read-off to present the branched cover."""
@@ -488,26 +463,12 @@ def read_off_matches_cyclic(words: Sequence[FreeWord], w: FreeWord) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class DiagramReport:
-    """Outcome of the full pipeline for one Seifert parameter tuple."""
-
-    params: DiagramParams
-    counts: tuple[int, int, int, int]
-    criterion: bool
-    relators_match: bool
-    diagram: GluedDiagram = field(compare=False, repr=False)
-
-
-def check_seifert_diagram(n: int, p: int, q: int, l: int) -> DiagramReport:
-    """Build the diagram for (n, p, q, l), test the one-vertex/n-edge
-    criterion, and compare the read-off relators with the defining word."""
-    params = diagram_from_seifert(n, p, q, l)
-    diagram = GluedDiagram(params)
-    criterion = diagram.satisfies_cover_criterion()
-    match = False
-    if criterion:
-        match = read_off_matches_cyclic(
-            diagram.read_off_words(), seifert_word(n, p, q, l)
-        )
-    return DiagramReport(params, diagram.counts(), criterion, match, diagram)
+def check_seifert_diagram(n: int, p: int, q: int, l: int) -> tuple[GluedDiagram, bool]:
+    """Build the diagram for (n, p, q, l) and say whether it meets the
+    one-vertex/n-edge criterion and reads off the defining word's cyclic
+    presentation: returns (diagram, relators match)."""
+    diagram = GluedDiagram(diagram_from_seifert(n, p, q, l))
+    match = diagram.satisfies_cover_criterion() and read_off_matches_cyclic(
+        diagram.read_off_words(), seifert_word(n, p, q, l)
+    )
+    return diagram, match

@@ -1,11 +1,13 @@
 """Free differential calculus and Alexander polynomials.
 
 Relators are differentiated syllable-wise into integer Laurent polynomials
-in one variable t, after sending generator i to t^(weight_i); the default
-weights are all 1, the right abelianization for knot group presentations
-where every generator is a meridian. The Alexander polynomial of a
-deficiency-one presentation is the gcd of the maximal minors of the
-resulting matrix, normalized so the lowest term is a positive constant.
+in one variable t, after sending generator i to t^(weight_i). The Alexander
+matrix takes every weight 1, the right abelianization for knot group
+presentations where every generator is a meridian. The Alexander
+polynomial of a deficiency-one presentation is the gcd of the maximal
+minors of that matrix, normalized so the lowest term is a positive
+constant; the minors are taken by the fraction-free elimination of
+`homology`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .freegroup import FreeWord
-from .homology import poly_gcd
+from .homology import fraction_free_determinant, poly_gcd
 from .presentations import Presentation
 
 
@@ -43,8 +45,8 @@ class LaurentPoly:
     def monomial(cls, coef: int, exp: int = 0) -> "LaurentPoly":
         return cls(exp, (coef,))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     @property
     def high(self) -> int:
@@ -81,6 +83,29 @@ class LaurentPoly:
                 for j, d in enumerate(other.coeffs):
                     run[i + j] += c * d
         return LaurentPoly(self.low + other.low, run)
+
+    def __floordiv__(self, other: "LaurentPoly") -> "LaurentPoly":
+        """The exact quotient in Z[t, 1/t], by long division; raises
+        ArithmeticError when other does not divide self. Both coefficient
+        runs start with a nonzero term, so divisibility by a Laurent
+        polynomial is divisibility of the runs as ordinary polynomials."""
+        if not other:
+            raise ZeroDivisionError("division by the zero polynomial")
+        rem = list(self.coeffs)
+        div = other.coeffs
+        width = len(div)
+        quot = [0] * (len(rem) - width + 1)
+        for i in reversed(range(len(quot))):
+            c, r = divmod(rem[i + width - 1], div[-1])
+            if r:
+                raise ArithmeticError(f"{other} does not divide {self}")
+            if c:
+                quot[i] = c
+                for j in range(width):
+                    rem[i + j] -= c * div[j]
+        if any(rem):
+            raise ArithmeticError(f"{other} does not divide {self}")
+        return LaurentPoly(self.low - other.low, quot)
 
     def terms(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs for the nonzero terms, ascending."""
@@ -134,7 +159,7 @@ def laurent_gcd(polys: Sequence[LaurentPoly]) -> LaurentPoly:
     """Gcd up to units +-t^k, returned in normalized form."""
     acc: list[int] = []
     for p in polys:
-        if p.is_zero():
+        if not p:
             continue
         acc = poly_gcd(acc, list(p.coeffs))
         if acc == [1]:
@@ -148,9 +173,13 @@ def laurent_gcd(polys: Sequence[LaurentPoly]) -> LaurentPoly:
 def _check_weights(n: int, weights: Sequence[int] | None) -> tuple[int, ...]:
     if weights is None:
         return (1,) * n
+    weights = tuple(weights)
     if len(weights) != n:
         raise ValueError("one weight per generator required")
-    return tuple(int(w) for w in weights)
+    for w in weights:
+        if type(w) is not int:  # bool is a subclass of int
+            raise ValueError(f"weights must be integers, got {w!r}")
+    return weights
 
 
 def fox_derivative(
@@ -187,85 +216,28 @@ def fox_derivative(
     return LaurentPoly(low, run)
 
 
-def alexander_matrix(
-    pres: Presentation, weights: Sequence[int] | None = None
-) -> list[list[LaurentPoly]]:
+def alexander_matrix(pres: Presentation) -> list[list[LaurentPoly]]:
     """Fox derivative matrix: one row per relator, one column per
     generator, entries in Z[t, 1/t]."""
-    weights = _check_weights(pres.num_generators, weights)
     return [
-        [fox_derivative(r, j, weights) for j in range(1, pres.num_generators + 1)]
+        [fox_derivative(r, j) for j in range(1, pres.num_generators + 1)]
         for r in pres.relators
     ]
 
 
-def _exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """num / den in Z[t, 1/t] for a nonzero den, by long division; raises
-    ArithmeticError when den does not divide num. Both coefficient runs
-    start with a nonzero term, so divisibility by a Laurent polynomial is
-    divisibility of the runs as ordinary polynomials."""
-    rem = list(num.coeffs)
-    div = den.coeffs
-    width = len(div)
-    quot = [0] * (len(rem) - width + 1)
-    for i in reversed(range(len(quot))):
-        c, r = divmod(rem[i + width - 1], div[-1])
-        if r:
-            raise ArithmeticError(f"{den} does not divide {num}")
-        if c:
-            quot[i] = c
-            for j in range(width):
-                rem[i + j] -= c * div[j]
-    if any(rem):
-        raise ArithmeticError(f"{den} does not divide {num}")
-    return LaurentPoly(num.low - den.low, quot)
-
-
 def laurent_determinant(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Determinant over Z[t, 1/t] by fraction-free (Bareiss) elimination.
-
-    Each step replaces a[i][j] by (a[i][j] a[k][k] - a[i][k] a[k][j]) / p,
-    where p is the previous pivot; by Sylvester's identity the division
-    is exact, and a remainder raises ArithmeticError. A zero pivot is
-    replaced by swapping in a lower row, which flips the sign; a column
-    with no nonzero pivot left makes the determinant zero.
-    """
-    size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise ValueError("square matrix required")
-    if size == 0:
-        return ONE
-    a = [list(row) for row in matrix]
-    negate = False
-    prev = ONE
-    for k in range(size - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, size):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    negate = not negate
-                    break
-            else:
-                return ZERO
-        pivot, pivot_row = a[k][k], a[k]
-        for row in a[k + 1 :]:
-            head = row[k]
-            for j in range(k + 1, size):
-                row[j] = _exact_quotient(row[j] * pivot - head * pivot_row[j], prev)
-        prev = pivot
-    det = a[size - 1][size - 1]
-    return -det if negate else det
+    """Determinant over Z[t, 1/t] by `homology.fraction_free_determinant`;
+    a division that leaves a remainder raises ArithmeticError."""
+    return fraction_free_determinant(matrix) if matrix else ONE
 
 
-def alexander_polynomial(
-    pres: Presentation, weights: Sequence[int] | None = None
-) -> LaurentPoly:
+def alexander_polynomial(pres: Presentation) -> LaurentPoly:
     """Gcd of the maximal minors of the Fox derivative matrix of a
     deficiency-one presentation, in normalized form."""
     g = pres.num_generators
     if len(pres.relators) != g - 1:
         raise ValueError("need exactly one relator fewer than generators")
-    matrix = alexander_matrix(pres, weights)
+    matrix = alexander_matrix(pres)
     minors = []
     for skip in range(g):
         square = [[row[j] for j in range(g) if j != skip] for row in matrix]

@@ -148,11 +148,6 @@ def identity(n: int) -> FreeWord:
     return FreeWord(n)
 
 
-def conjugate(u: FreeWord, g: FreeWord) -> FreeWord:
-    """g^-1 u g."""
-    return g.inverse() * u * g
-
-
 def commutator(a: FreeWord, b: FreeWord) -> FreeWord:
     """[a, b] = a^-1 b^-1 a b."""
     return a.inverse() * b.inverse() * a * b
@@ -186,8 +181,9 @@ def format_word(w: FreeWord, names: Sequence[str] | None = None) -> str:
 def parse_word(text: str, n: int, names: Sequence[str] | None = None) -> FreeWord:
     """Parse the output format of format_word (whitespace-separated syllables).
 
-    With explicit generator names, each syllable must be name or name^exp;
-    otherwise names are x1..xn. "1" denotes the identity.
+    With explicit generator names, each syllable must be name or name^exp,
+    and a "^" needs an exponent; otherwise names are x1..xn. "1" denotes
+    the identity.
     """
     text = text.strip()
     if text in ("", "1"):
@@ -196,8 +192,8 @@ def parse_word(text: str, n: int, names: Sequence[str] | None = None) -> FreeWor
         index = {name: i + 1 for i, name in enumerate(names)}
     syllables: list[Syllable] = []
     for chunk in text.split():
-        base, _, exp_text = chunk.partition("^")
-        if exp_text:
+        base, caret, exp_text = chunk.partition("^")
+        if caret:
             try:
                 exp = int(exp_text)
             except ValueError:

@@ -1,8 +1,9 @@
 """Exact integer linear algebra for abelianized group presentations.
 
 Everything here runs over Z with arbitrary precision: Smith normal form
-with unimodular certificates, a fraction-free determinant used to re-verify
-those certificates, and integer polynomials as coefficient lists: the gcd
+with unimodular certificates, a fraction-free determinant that re-verifies
+those certificates (and, over Z[t, 1/t], takes the Alexander minors of
+`foxcalc`), and integer polynomials as coefficient lists: the gcd
 that the Alexander polynomial needs, and resultants for the circulant
 shortcut that computes the abelianization order of a cyclic presentation
 straight from the exponent vector of its defining word.
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .presentations import Presentation
 
@@ -53,35 +54,49 @@ def matrix_multiply(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> M
     ]
 
 
-def bareiss_determinant(mat: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination.
+def fraction_free_determinant(mat: Sequence[Sequence[Any]]) -> Any:
+    """Determinant of a non-empty square matrix over an exact domain, by
+    fraction-free (Bareiss) elimination. The entries need `*`, `-`, an
+    exact `//` and truthiness (false exactly for zero): ints, or the
+    Laurent polynomials of `foxcalc`.
 
-    All intermediate values are exact integers (every division below is
-    exact), so there is no overflow or rounding anywhere.
+    Each step replaces a[i][j] by (a[i][j] a[k][k] - a[i][k] a[k][j]) / p,
+    where p is the previous pivot (the first step divides by nothing); by
+    Sylvester's identity the division is exact. A zero pivot is replaced
+    by swapping in a lower row, which flips the sign; a column with no
+    nonzero pivot left makes the determinant zero.
     """
-    a = _copy_matrix(mat)
+    a = [list(row) for row in mat]
     n = len(a)
-    if any(len(r) != n for r in a):
+    if not n or any(len(row) != n for row in a):
         raise ValueError("square matrix required")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
+    negate = False
+    prev = None
     for k in range(n - 1):
-        if a[k][k] == 0:
+        if not a[k][k]:
             for i in range(k + 1, n):
                 if a[i][k]:
                     a[k], a[i] = a[i], a[k]
-                    sign = -sign
+                    negate = not negate
                     break
             else:
-                return 0
-        for i in range(k + 1, n):
+                return a[k][k]  # the domain's zero
+        pivot, pivot_row = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            head = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                cross = row[j] * pivot - head * pivot_row[j]
+                row[j] = cross if prev is None else cross // prev
+        prev = pivot
+    det = a[n - 1][n - 1]
+    return -det if negate else det
+
+
+def bareiss_determinant(mat: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, exact at every step (see
+    `fraction_free_determinant`); the empty matrix has determinant 1."""
+    a = _copy_matrix(mat)
+    return fraction_free_determinant(a) if a else 1
 
 
 def smith_normal_form(
@@ -234,9 +249,6 @@ class AbelianGroup:
         if self.rank:
             return None
         return prod(self.torsion) if self.torsion else 1
-
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
     def __str__(self) -> str:
         parts: list[str] = []

@@ -16,7 +16,7 @@ from time import perf_counter
 from typing import Callable
 
 from .dunwoody import (
-    DiagramReport,
+    GluedDiagram,
     check_seifert_diagram,
     edge_partition_from_pairs,
     expected_identifications,
@@ -70,16 +70,16 @@ def check_alexander_example() -> tuple[bool, str]:
     return ok, f"Delta(t) = {delta}"
 
 
-def check_lens_closed_forms(limit: int = 12) -> tuple[bool, str]:
+def check_lens_closed_forms() -> tuple[bool, str]:
     """The run-length reduction agrees with the closed forms for every
-    strand triple up to the limit, under the per-family coprimality; the
+    strand triple up to 12, under the per-family coprimality; the
     trace never sums to more than a + b + c + 2 moves; unsupported twists
     raise."""
     checked = 0
     rejected = 0
-    for a in range(limit + 1):
-        for b in range(limit + 1):
-            for c in range(limit + 1):
+    for a in range(13):
+        for b in range(13):
+            for c in range(13):
                 if a + b + c == 0:
                     continue
                 m = 2 * a + b + c
@@ -241,12 +241,15 @@ def check_property_suite(seed: int = 0) -> tuple[bool, str]:
 
 # -- the grid checks, one point at a time -------------------------------------
 
-# A test gets the point and a callable building its report once. No alias
-# for that callable: typing would cache it, and with it each import.
+# A test gets the point and a callable that builds its (diagram, relators
+# match) pair once. No alias for that callable: typing would cache it, and
+# with it each import.
 Point = tuple[int, int, int, int]
 
 
-def _tietze_at(point: Point, report: Callable[[], DiagramReport]) -> str | None:
+def _tietze_at(
+    point: Point, report: Callable[[], tuple[GluedDiagram, bool]]
+) -> str | None:
     """Every rewriting witness is a free-group identity."""
     for label, lhs, rhs in tietze_witnesses(*point):
         if lhs != rhs:
@@ -263,7 +266,9 @@ def _tietze_tail(grid: list[Point]) -> tuple[bool, str]:
     return True, f"{len(grid)} parameter tuples, {instances} identities"
 
 
-def _homology_at(point: Point, report: Callable[[], DiagramReport]) -> str | None:
+def _homology_at(
+    point: Point, report: Callable[[], tuple[GluedDiagram, bool]]
+) -> str | None:
     """Both presentations abelianize identically, the circulant shortcut
     agrees, and the order is p^(n-1) times |H1| of the lens space L(nlq-p, q)."""
     n, p, q, l = point
@@ -289,23 +294,29 @@ def _homology_tail(grid: list[Point]) -> tuple[bool, str]:
     return True, f"{len(grid)} parameter tuples, H1 equal both routes"
 
 
-def _diagram_at(point: Point, report: Callable[[], DiagramReport]) -> str | None:
+def _diagram_at(
+    point: Point, report: Callable[[], tuple[GluedDiagram, bool]]
+) -> str | None:
     """The diagram has counts (1, n, n, 1) and reads off the cyclic
     presentation's relators."""
-    built = report()
-    if built.counts != (1, point[0], point[0], 1):
-        return f"counts {built.counts} at {point}"
-    if not built.criterion or not built.relators_match:
+    diagram, relators_match = report()
+    counts = diagram.counts()
+    if counts != (1, point[0], point[0], 1):
+        return f"counts {counts} at {point}"
+    if not relators_match:  # false too when the criterion fails
         return f"diagram check fails at {point}"
     return None
 
 
-def _identification_at(point: Point, report: Callable[[], DiagramReport]) -> str | None:
+def _identification_at(
+    point: Point, report: Callable[[], tuple[GluedDiagram, bool]]
+) -> str | None:
     """On the aligned branch p >= 2q, the glued edge identifications are
     exactly the two closed-form families, orientations included."""
     if point[1] < 2 * point[2]:
         return None
-    params, diagram = report().params, report().diagram
+    diagram = report()[0]
+    params = diagram.params
     if params.s != 0 or params.r != params.a + params.c:
         return f"unexpected gluing data {params} at {point}"
     pairs = expected_identifications(params.a, params.b, params.c, params.n)
@@ -316,7 +327,9 @@ def _identification_at(point: Point, report: Callable[[], DiagramReport]) -> str
     return None
 
 
-def _cover_at(point: Point, report: Callable[[], DiagramReport]) -> str | None:
+def _cover_at(
+    point: Point, report: Callable[[], tuple[GluedDiagram, bool]]
+) -> str | None:
     """The knot attached to the point reduces to its stated ambient space."""
     n, p, q, l = point
     cover = knot_from_seifert(n, p, q, l)

@@ -34,8 +34,8 @@ def test_tessellation_counts():
     }
     for (a, b, c, n), (v, e, f) in cases.items():
         tess = Tessellation(a, b, c, n)
-        assert (tess.num_vertices, tess.num_edges, tess.num_faces) == (v, e, f)
-        assert tess.euler_characteristic() == 2
+        assert (tess.num_vertices, tess.num_edges, 2 * n) == (v, e, f)
+        assert tess.num_vertices - tess.num_edges + 2 * n == 2
         assert tess.num_vertices == 2 + n * (2 * a + b + c - 2)
 
 
@@ -57,8 +57,8 @@ def test_tessellation_validation():
 def test_boundary_cycles_cover_each_edge_twice():
     tess = Tessellation(2, 1, 3, 2)
     slots = Counter()
-    for i in range(1, 3):
-        for edge, _sign in tess.upper_boundary(i) + tess.lower_boundary(i):
+    for i in range(2):
+        for edge in tess._upper[i][0] + tess._lower[i][0]:
             slots[edge] += 1
     assert len(slots) == tess.num_edges
     assert set(slots.values()) == {2}
@@ -66,16 +66,17 @@ def test_boundary_cycles_cover_each_edge_twice():
 
 def test_boundary_cycle_length():
     tess = Tessellation(2, 2, 1, 3)
-    for i in range(1, 4):
-        assert len(tess.upper_boundary(i)) == tess.cycle_length
-        assert len(tess.lower_boundary(i)) == tess.cycle_length
+    for i in range(3):
+        for face in (tess._upper[i], tess._lower[i]):
+            assert [len(run) for run in face] == [tess.cycle_length] * 3
 
 
 def test_glued_diagram_pinned_counts():
     diagram = GluedDiagram(DiagramParams(1, 1, 0, 3, 1, 0))
     assert diagram.counts() == (1, 3, 3, 1)
     assert diagram.satisfies_cover_criterion()
-    assert diagram.euler_characteristic() == 0
+    vertices, edges, faces, cells = diagram.counts()
+    assert vertices - edges + faces - cells == 0
     assert sorted(len(cls) for cls in diagram.edge_classes) == [3, 3, 3]
     assert [str(w) for w in diagram.read_off_words()] == [
         "x1 x2 x3^-1",
@@ -104,11 +105,12 @@ def test_diagram_from_seifert_pinned():
 
 def test_check_seifert_diagram():
     for params in [(2, 3, 2, 2), (3, 2, 1, 1), (3, 5, 2, 1), (4, 3, 2, 1)]:
-        report = check_seifert_diagram(*params)
-        assert report.counts[0] == 1
-        assert report.counts[1] == params[0]
-        assert report.criterion
-        assert report.relators_match
+        diagram, relators_match = check_seifert_diagram(*params)
+        assert diagram.params == diagram_from_seifert(*params)
+        assert diagram.counts()[0] == 1
+        assert diagram.counts()[1] == params[0]
+        assert diagram.satisfies_cover_criterion()
+        assert relators_match
 
 
 def test_read_off_matches_cyclic():
@@ -144,8 +146,8 @@ def test_diagram_params_validation():
 
 def test_whole_grid_produces_cover_diagrams():
     for n, p, q, l in seifert_parameter_grid(4, 5, 2):
-        report = check_seifert_diagram(n, p, q, l)
-        assert report.criterion and report.relators_match, (n, p, q, l)
+        diagram, relators_match = check_seifert_diagram(n, p, q, l)
+        assert diagram.satisfies_cover_criterion() and relators_match, (n, p, q, l)
 
 
 def test_every_raw_cover_diagram_reads_off():
@@ -175,13 +177,6 @@ def test_parity_union_find():
     assert dsu.locate([3, 2, 1, 0]) == [(0, 0), (1, 0), (1, 0), (1, 1)]
     with pytest.raises(GluingError):
         dsu.union(0, 2)  # 0 and 2 are already glued with opposite orientations
-
-
-def test_check_report_keeps_its_diagram():
-    report = check_seifert_diagram(3, 5, 2, 1)
-    assert report.diagram.params == report.params
-    assert report.diagram.counts() == report.counts
-    assert report == check_seifert_diagram(3, 5, 2, 1)  # the diagram is not compared
 
 
 def _diagram_digest(param_list):

@@ -5,7 +5,6 @@ import pytest
 from seifknot.freegroup import (
     FreeWord,
     commutator,
-    conjugate,
     format_word,
     generator,
     identity,
@@ -75,7 +74,7 @@ def test_letters_and_support():
 def test_conjugate_and_commutator():
     g = generator(2, 1, 1)
     h = generator(2, 2, 1)
-    assert conjugate(h, g) == w("x1^-1 x2 x1", 2)
+    assert g.inverse() * h * g == w("x1^-1 x2 x1", 2)
     assert commutator(g, h) == w("x1^-1 x2^-1 x1 x2", 2)
     assert commutator(g, g).is_identity()
 
@@ -102,6 +101,10 @@ def test_parse_rejects_garbage():
         parse_word("x9", 3)
     with pytest.raises(ValueError):
         parse_word("frog", 3)
+    # a caret needs an exponent: "x1^ x2" is not x1 x2
+    for text in ("x1^ x2", "x1^", "x1 x2^"):
+        with pytest.raises(ValueError, match="bad exponent"):
+            parse_word(text, 2)
 
 
 def test_parse_format_round_trip():

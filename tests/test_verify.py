@@ -139,7 +139,7 @@ def outcomes(results):
     return {r.name: (r.passed, r.detail) for r in results}
 
 
-def test_an_exception_at_one_point_fails_only_its_check(monkeypatch):
+def test_an_exception_at_one_point_fails_only_its_check(monkeypatch, quick_plain_checks):
     fail_at(monkeypatch, "_homology_at", [(3, 3, 1, 2)], ZeroDivisionError("planted"))
     results = verify.run_all(*SMALL_GRID)
     assert len({r.name for r in results}) == len(results) == 10
