@@ -19,9 +19,11 @@ meridian i (both counted from 1) has id (i - 1)m + j - 1, and edge j of
 arc i follows all meridian edges with id nm + (i - 1)c + j - 1; this is
 the order of `Tessellation.edges`. Vertices are numbered 0..V-1 after the
 identifications that degenerate strand counts force. Each face boundary
-is stored once as lists of edge ids, traversal signs and corner vertices,
-and the gluing runs a list-backed union-find over those ids. The tuple
-forms (`Tessellation.edges`, `GluedDiagram.edge_location`,
+is stored once as a list of edge ids, with one traversal-sign pattern for
+every upper face and its negative for every lower one; a slot's end
+vertices are read from its edge's tail and head. The gluing runs a
+list-backed union-find over those ids. The tuple forms
+(`Tessellation.edges`, `GluedDiagram.edge_location`,
 `GluedDiagram.edge_classes`) are built from the integer results when they
 are first read.
 """
@@ -44,10 +46,6 @@ _NORTH = 1
 
 class GluingError(ValueError):
     """The face pairing forces an edge onto its own reverse (non-manifold)."""
-
-
-def _forced_reverse(u: Edge, v: Edge) -> GluingError:
-    return GluingError(f"edge {u} is forced to match its own reverse via {v}")
 
 
 class _ParityDSU:
@@ -111,11 +109,6 @@ class _ParityDSU:
         parity[ry] = px ^ rel ^ py
         self.classes -= 1
 
-    def roots(self) -> list[int]:
-        """One representative per class, in order of first appearance."""
-        find = self.find
-        return list(dict.fromkeys(find(x)[0] for x in range(len(self.parent))))
-
     def locate(self, order: Iterable[int]) -> list[tuple[int, int]]:
         """(class index, parity) of each element of the given order:
         classes are indexed by first appearance in that order, and
@@ -171,8 +164,7 @@ class Tessellation:
                     self._meridian_vertex(self._prev(i), a),
                     self._meridian_vertex(i, a + b),
                 )
-            compact = {root: k for k, root in enumerate(merged.roots())}
-            vertex_of = [compact[merged.find(x)[0]] for x in vertex_of]
+            vertex_of = [k for k, _ in merged.locate(vertex_of)]
         self.num_vertices = max(vertex_of) + 1
 
         # endpoints of each edge, indexed by edge id
@@ -195,33 +187,31 @@ class Tessellation:
             self._tail += chain[:-1]
             self._head += chain[1:]
 
-        # face boundaries as (edge ids, signs, corners), face i at index i - 1;
-        # signs are traversal directions, and the corners are filled in by
-        # the boundary walk. The face above arc i starts at the north pole:
-        # down the top of meridian i, backwards along the arc, then up the
-        # middle and top of meridian i - 1. The face below it starts at the
-        # south pole: up the bottom of meridian i - 1, along the arc, then
-        # down the middle and bottom of meridian i.
-        self._upper: list[tuple[list[int], list[int], list[int]]] = []
-        self._lower: list[tuple[list[int], list[int], list[int]]] = []
-        up_signs = [-1] * (a + c) + [1] * (a + b)
-        low_signs = [1] * (a + c) + [-1] * (a + b)
+        # face boundaries as edge ids, face i at index i - 1. The face above
+        # arc i starts at the north pole: down the top of meridian i,
+        # backwards along the arc, then up the middle and top of meridian
+        # i - 1. The face below it starts at the south pole: up the bottom
+        # of meridian i - 1, along the arc, then down the middle and bottom
+        # of meridian i. Every face has the same traversal signs as the
+        # others on its side, +1 along an edge and -1 against it.
+        self._up_signs = [-1] * (a + c) + [1] * (a + b)
+        self._low_signs = [1] * (a + c) + [-1] * (a + b)
+        self._upper: list[list[int]] = []
+        self._lower: list[list[int]] = []
         for i in range(1, n + 1):
             mer = (i - 1) * m  # first edge of meridian i
             prev = (self._prev(i) - 1) * m  # first edge of meridian i - 1
             arc = n * m + (i - 1) * c  # first edge of arc i
-            upper = [
+            self._upper.append([
                 *range(mer + m - 1, mer + m - 1 - a, -1),
                 *range(arc + c - 1, arc - 1, -1),
                 *range(prev + a, prev + m),
-            ]
-            lower = [
+            ])
+            self._lower.append([
                 *range(prev, prev + a),
                 *range(arc, arc + c),
                 *range(mer + a + b - 1, mer - 1, -1),
-            ]
-            self._upper.append((upper, up_signs, []))
-            self._lower.append((lower, low_signs, []))
+            ])
         self._check_boundaries(vertex_of[_NORTH], vertex_of[_SOUTH])
         if self.num_vertices - self.num_edges + 2 * n != 2:  # 2n faces
             raise ValueError(
@@ -252,24 +242,22 @@ class Tessellation:
 
     def _check_boundaries(self, north: int, south: int) -> None:
         """Check that every face boundary chains from its base pole back to
-        it, and record each slot's start corner."""
+        it."""
         tail, head = self._tail, self._head
         for i in range(self.n):
-            for (edges, signs, corners), base in (
-                (self._upper[i], north),
-                (self._lower[i], south),
+            for edges, signs, base in (
+                (self._upper[i], self._up_signs, north),
+                (self._lower[i], self._low_signs, south),
             ):
                 if len(edges) != self.cycle_length:
                     raise AssertionError("boundary length mismatch")
-                pairs = [
-                    (tail[e], head[e]) if sign > 0 else (head[e], tail[e])
-                    for e, sign in zip(edges, signs)
-                ]
-                corners[:] = [start for start, _ in pairs]
-                ends = [end for _, end in pairs]
-                if corners[0] != base or corners[1:] != ends[:-1]:
-                    raise AssertionError("boundary cycle does not chain")
-                if ends[-1] != base:
+                at = base
+                for e, sign in zip(edges, signs):
+                    start, end = (tail[e], head[e]) if sign > 0 else (head[e], tail[e])
+                    if start != at:
+                        raise AssertionError("boundary cycle does not chain")
+                    at = end
+                if at != base:
                     raise AssertionError("boundary cycle does not close")
 
 
@@ -310,24 +298,29 @@ class GluedDiagram:
         edge_dsu = _ParityDSU(tess.num_edges)
         vertex_dsu = _ParityDSU(tess.num_vertices)
         join_edges, join_vertices = edge_dsu.union, vertex_dsu.union
+        tail, head = tess._tail, tess._head
         # slot x of upper face j meets slot (r - 1 - x) mod L of its lower
-        # partner, and corner x meets corner (r - x) mod L: the partner's
-        # boundary is read backwards from a start the twist sets
+        # partner, read backwards from a start the twist sets; so the start
+        # of slot x meets the end of the partner slot
+        low_signs = _backwards(tess._low_signs, r - 1)
         try:
             for j in range(n):
-                u_edges, u_signs, u_corners = tess._upper[j]
-                l_edges, l_signs, l_corners = tess._lower[(j + s) % n]
                 for u, v, eps, delta in zip(
-                    u_edges,
-                    _backwards(l_edges, r - 1),
-                    u_signs,
-                    _backwards(l_signs, r - 1),
+                    tess._upper[j],
+                    _backwards(tess._lower[(j + s) % n], r - 1),
+                    tess._up_signs,
+                    low_signs,
                 ):
                     join_edges(u, v, eps == delta)
-                for x, y in zip(u_corners, _backwards(l_corners, r)):
-                    join_vertices(x, y)
+                    join_vertices(
+                        tail[u] if eps > 0 else head[u],
+                        head[v] if delta > 0 else tail[v],
+                    )
         except GluingError:
-            raise _forced_reverse(tess.edges[u], tess.edges[v]) from None
+            raise GluingError(
+                f"edge {tess.edges[u]} is forced to match its own reverse "
+                f"via {tess.edges[v]}"
+            ) from None
 
         self.vertex_class_count = vertex_dsu.classes
         self._edge_class_count = edge_dsu.classes
@@ -385,12 +378,12 @@ class GluedDiagram:
             )
         labels = {cls: i + 1 for i, cls in enumerate(firsts)}
         start = self.params.a + self.params.c if self.params.s == 0 else self.params.a
+        up_signs = self.tessellation._up_signs
+        signs = up_signs[start:] + up_signs[:start]
         words = []
-        for edges, signs, _ in self.tessellation._upper:
+        for edges in self.tessellation._upper:
             syllables = []
-            for e, sign in zip(
-                edges[start:] + edges[:start], signs[start:] + signs[:start]
-            ):
+            for e, sign in zip(edges[start:] + edges[:start], signs):
                 cls, par = location[e]
                 syllables.append((labels[cls], sign if par == 0 else -sign))
             words.append(FreeWord(n, syllables))
@@ -441,11 +434,8 @@ def edge_partition_from_pairs(
     """
     index = {e: k for k, e in enumerate(edges)}
     dsu = _ParityDSU(len(edges))
-    try:
-        for u, v in pairs:
-            dsu.union(index[u], index[v])
-    except GluingError:
-        raise _forced_reverse(u, v) from None
+    for u, v in pairs:  # parity 0 throughout, so no union can contradict
+        dsu.union(index[u], index[v])
     return dict(zip(edges, dsu.locate(range(len(edges)))))
 
 

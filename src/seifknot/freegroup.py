@@ -8,6 +8,7 @@ the usual notation for cyclic shifts.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -178,12 +179,19 @@ def format_word(w: FreeWord, names: Sequence[str] | None = None) -> str:
     return " ".join(parts)
 
 
+# the only syllable texts format_word writes, in ASCII digits
+_EXPONENT = re.compile("-?[1-9][0-9]*")
+_GENERATOR = re.compile("x[1-9][0-9]*")
+
+
 def parse_word(text: str, n: int, names: Sequence[str] | None = None) -> FreeWord:
     """Parse the output format of format_word (whitespace-separated syllables).
 
-    With explicit generator names, each syllable must be name or name^exp,
-    and a "^" needs an exponent; otherwise names are x1..xn. "1" denotes
-    the identity.
+    Each syllable is name or name^exp, where exp is a nonzero ASCII
+    integer with no sign but "-" and no leading zero, as format_word
+    writes it. With explicit generator names each name must be one of
+    them; otherwise names are x1..xn, again in plain ASCII digits. "1"
+    denotes the identity.
     """
     text = text.strip()
     if text in ("", "1"):
@@ -193,19 +201,18 @@ def parse_word(text: str, n: int, names: Sequence[str] | None = None) -> FreeWor
     syllables: list[Syllable] = []
     for chunk in text.split():
         base, caret, exp_text = chunk.partition("^")
-        if caret:
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise ValueError(f"bad exponent in syllable {chunk!r}") from None
-        else:
+        if not caret:
             exp = 1
+        elif _EXPONENT.fullmatch(exp_text):
+            exp = int(exp_text)
+        else:
+            raise ValueError(f"bad exponent in syllable {chunk!r}")
         if names is not None:
             if base not in index:
                 raise ValueError(f"unknown generator {base!r}")
             gen = index[base]
         else:
-            if not (base.startswith("x") and base[1:].isdigit()):
+            if not _GENERATOR.fullmatch(base):
                 raise ValueError(f"unknown generator {base!r}")
             gen = int(base[1:])
         syllables.append((gen, exp))

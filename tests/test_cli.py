@@ -340,10 +340,16 @@ def test_alexander_letter_cap(tmp_path, capsys, monkeypatch):
         ({"generators": ["x", "x"], "relators": ["x"]}, "duplicate"),
         ({"generators": ["x", "y"], "relators": ["z"]}, "unknown generator"),
         ({"generators": ["x", "y"], "relators": ["x^ y x^-1 y^-1"]}, "bad exponent"),
+        ({"generators": ["x", "y"], "relators": ["x^1_0 y x^-10 y^-1"]}, "bad exponent"),
+        ({"generators": ["x", "y"], "relators": ["x^\u0663 y x^-3 y^-1"]}, "bad exponent"),
+        ({"generators": ["x", "y"], "relators": ["x^+2 y x^-2 y^-1"]}, "bad exponent"),
+        ({"generators": ["x", "y"], "relators": ["x^0 y"]}, "bad exponent"),
+        ({"generators": ["x", "y"], "relators": ["x^02 y x^-2 y^-1"]}, "bad exponent"),
     ],
     ids=["list", "string-generators", "non-string-generator", "no-generators",
          "non-string-relator", "string-relators", "duplicate", "unknown",
-         "empty-exponent"],
+         "empty-exponent", "underscore-exponent", "non-ascii-exponent",
+         "plus-exponent", "zero-exponent", "leading-zero-exponent"],
 )
 def test_alexander_rejects_malformed_presentation(tmp_path, capsys, pres, bad):
     path = tmp_path / "pres.json"

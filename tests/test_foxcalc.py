@@ -106,6 +106,16 @@ def test_fox_derivative_with_weights():
     assert fox_derivative(xy, 2, weights=(3, 1)) == lp(3, 1)
 
 
+def test_fox_derivative_rejects_bad_generator_and_weight_count():
+    word = FreeWord(2, [(1, 2), (2, -1)])
+    for gen in (0, 3, -1):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            fox_derivative(word, gen)
+    for weights in ([1], [1, 2, 3], []):
+        with pytest.raises(ValueError, match="one weight per generator"):
+            fox_derivative(word, 1, weights)
+
+
 @pytest.mark.parametrize(
     "weights", [[1.9, "3"], [True, 2], [1, 2.0]], ids=["float-string", "bool", "float"]
 )

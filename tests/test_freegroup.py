@@ -105,6 +105,17 @@ def test_parse_rejects_garbage():
     for text in ("x1^ x2", "x1^", "x1 x2^"):
         with pytest.raises(ValueError, match="bad exponent"):
             parse_word(text, 2)
+    # only what format_word writes: ASCII digits, no "_", "+", zero
+    # exponent or leading zero
+    for text in ("x1^1_0", "x1^\u0663", "x1^+2", "x1^0", "x1^-0", "x1^02"):
+        with pytest.raises(ValueError, match="bad exponent"):
+            parse_word(text, 2)
+    for text in ("x\u0661^2", "x01", "x0", "x+1", "x1_0", "X1"):
+        with pytest.raises(ValueError, match="unknown generator"):
+            parse_word(text, 11)
+    for text in ("x^1_0", "x^\u0663", "x^+2", "x^0", "x^01"):
+        with pytest.raises(ValueError, match="bad exponent"):
+            parse_word(text, 2, ("x", "y"))
 
 
 def test_parse_format_round_trip():

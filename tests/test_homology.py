@@ -67,6 +67,34 @@ def test_snf_certificate_rejects_tampering():
     d, u, v = smith_normal_form(mat)
     assert not verify_snf_certificate(mat, [[1, 0], [0, 14]], u, v)
     assert not verify_snf_certificate(mat, [[15, 0], [0, 1]], u, v)
+    # one broken property at a time
+    mat = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    d, u, v = smith_normal_form(mat)
+    assert verify_snf_certificate(mat, d, u, v)
+    identity2 = [[1, 0], [0, 1]]
+    broken = [
+        # u and v of the wrong width would not even multiply
+        (mat, d, [row[:2] for row in u], v),
+        (mat, d, u, v[:2]),
+        (mat, d[:2], u, v),  # d has the wrong size
+        (mat, [[1, 0, 0], [0, 6, 0], [0, 0, 12]], u, v),  # u mat v != d
+        ([[2]], [[4]], [[2]], [[1]]),  # u mat v == d, but det u = 2
+        ([[1, 1], [0, 1]], [[1, 1], [0, 1]], identity2, identity2),  # off-diagonal
+        ([[-1]], [[-1]], [[1]], [[1]]),  # negative diagonal entry
+        ([[2, 0], [0, 3]], [[2, 0], [0, 3]], identity2, identity2),  # 2 does not divide 3
+        ([[0, 0], [0, 1]], [[0, 0], [0, 1]], identity2, identity2),  # zero before nonzero
+    ]
+    for case in broken:
+        assert not verify_snf_certificate(*case), case
+
+
+def test_matrix_shape_errors():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        smith_normal_form([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        verify_snf_certificate([[1]], [[1]], [[1], [0, 1]], [[1]])
+    with pytest.raises(ValueError, match="row width does not match column count"):
+        cokernel([[1, 2, 3]], 2)
 
 
 def test_snf_random_certificates():

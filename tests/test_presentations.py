@@ -155,6 +155,19 @@ def test_hom_count_agrees_across_presentations():
         assert cyclic == standard
 
 
+def test_hom_count_rejects_bad_targets():
+    pres = seifert_cyclic_presentation(2, 3, 2, 2)
+    bad = [
+        ([], "empty target group"),
+        ([(0, 1, 2), (1, 0, 2), (0, 1, 2)], "duplicate target elements"),
+        ([(1, 0, 2), (0, 2, 1)], "must contain the identity"),
+        ([(0, 1, 2), (1, 2, 0)], "not closed under composition"),
+    ]
+    for elements, message in bad:
+        with pytest.raises(ValueError, match=message):
+            count_homomorphisms(pres, elements)
+
+
 def test_budget_guard():
     pres = seifert_cyclic_presentation(4, 3, 2, 1)
     with pytest.raises(BudgetExceeded):

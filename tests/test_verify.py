@@ -2,6 +2,8 @@
 failure at one grid point fails only the check whose step failed."""
 
 import hashlib
+import json
+import re
 
 import pytest
 
@@ -179,3 +181,31 @@ def test_one_diagram_per_grid_point(monkeypatch, quick_plain_checks):
     seen = break_diagrams(monkeypatch, [])
     assert all(r.passed for r in verify.run_all(*SMALL_GRID))
     assert seen == seifert_parameter_grid(*SMALL_GRID)
+
+
+TEXT_LINE = re.compile(r"(PASS|FAIL) (\S+) \(\d+\.\d\ds\): (.*)")
+SMALL_GRID_ARGS = ("verify-all", "--nmax", "3", "--pmax", "4", "--lmax", "2")
+
+
+def test_small_grid_text_matches_json(capsys, quick_plain_checks):
+    code, out, err = run_cli(capsys, "--json", *SMALL_GRID_ARGS)
+    assert (code, err) == (0, "")
+    expected = json.loads(out)["checks"]
+    code, out, err = run_cli(capsys, *SMALL_GRID_ARGS)
+    assert (code, err) == (0, "")
+    *lines, summary = out.splitlines()
+    parsed = [TEXT_LINE.fullmatch(line).groups() for line in lines]
+    assert parsed == [("PASS", c["name"], c["detail"]) for c in expected]
+    assert len(parsed) == 10
+    assert summary == "10/10 checks passed"
+
+
+def test_text_output_names_a_failure(capsys, monkeypatch, quick_plain_checks):
+    fail_at(monkeypatch, "_homology_at", [(3, 3, 1, 2)])
+    code, out, err = run_cli(capsys, *SMALL_GRID_ARGS)
+    assert (code, err) == (1, "")
+    *lines, summary = out.splitlines()
+    flags = [TEXT_LINE.fullmatch(line).groups() for line in lines]
+    assert [flag for flag, _, _ in flags].count("PASS") == 9
+    assert ("FAIL", "homology-grid", "planted failure at (3, 3, 1, 2)") in flags
+    assert summary == "9/10 checks passed (failure)"
