@@ -8,11 +8,9 @@ sphere-tessellation diagram and reads the group relators back off it.
 """
 
 from seifknot import (
-    GluedDiagram,
-    diagram_from_seifert,
+    check_seifert_diagram,
     knot_from_seifert,
     lens_name,
-    read_off_matches_cyclic,
     reduce_to_lens,
     seifert_word,
 )
@@ -33,13 +31,11 @@ def show(n: int, p: int, q: int, l: int) -> None:
     print(f"  ambient space {lens_name(lens)}"
           f" (closed form agrees: {lens == cover.ambient})")
 
-    params = diagram_from_seifert(n, p, q, l)
-    diagram = GluedDiagram(params)
+    diagram, match = check_seifert_diagram(cover, seifert_word(n, p, q, l))
     counts = diagram.counts()
-    print(f"  diagram {params}: vertices/edges/faces/cells = {counts}")
+    print(f"  diagram {diagram.params}: vertices/edges/faces/cells = {counts}")
     if diagram.satisfies_cover_criterion():
         words = diagram.read_off_words()
-        match = read_off_matches_cyclic(words, seifert_word(n, p, q, l))
         print(f"  read-off relators {', '.join(str(w) for w in words)}")
         print(f"  match the cyclic presentation: {match}")
     print()

@@ -21,9 +21,7 @@ from .dunwoody import (
     GluingError,
     Tessellation,
     check_seifert_diagram,
-    diagram_from_seifert,
     expected_identifications,
-    read_off_matches_cyclic,
 )
 from .foxcalc import (
     LaurentPoly,
@@ -107,7 +105,6 @@ __all__ = [
     "commutator",
     "count_homomorphisms",
     "cyclic_presentation",
-    "diagram_from_seifert",
     "example_knot_presentation",
     "expected_identifications",
     "first_homology",
@@ -122,7 +119,6 @@ __all__ = [
     "lens_name",
     "normalize_lens",
     "parse_word",
-    "read_off_matches_cyclic",
     "reduce_to_lens",
     "resultant",
     "run_all",

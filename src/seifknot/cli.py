@@ -15,6 +15,7 @@ from typing import Any, Sequence
 
 from .dunwoody import DiagramParams, GluedDiagram, check_seifert_diagram
 from .foxcalc import alexander_polynomial, example_knot_presentation
+from .freegroup import seifert_word
 from .homology import cokernel, first_homology
 from .knots11 import (
     KnotParams,
@@ -29,6 +30,7 @@ from .presentations import (
     seifert_cyclic_presentation,
     standard_seifert_presentation,
     tietze_witnesses,
+    validate_seifert_params,
 )
 from .verify import DEFAULT_BUDGET, GATE_GRID, run_all
 
@@ -41,10 +43,13 @@ def _emit(args: argparse.Namespace, data: dict[str, Any], human: str) -> None:
 
 
 def _load_json(path: str) -> Any:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _load_int_matrix(path: str) -> list[list[int]]:
@@ -105,6 +110,7 @@ _MOVE_JSON = (
 
 
 def _check_presentation_size(args: argparse.Namespace, forms: Sequence[str]) -> None:
+    validate_seifert_params(args.n, args.p, args.q, args.l)  # the real fault first
     n, l = args.n, args.l
     syllables = sum(n * n * l if form == "cyclic" else 7 * n + 8 for form in forms)
     if syllables > MAX_RELATOR_SYLLABLES:
@@ -281,9 +287,10 @@ def _check_glued_slots(n: int, cycle_length: int) -> None:
 
 def cmd_dunwoody(args: argparse.Namespace) -> int:
     if args.action == "check":
-        # the knot of (n, p, q, l) has 2a + b + c = nql + p - 2q strands
-        _check_glued_slots(args.n, args.n * args.q * args.l + args.p - 2 * args.q)
-        diagram, relators_match = check_seifert_diagram(args.n, args.p, args.q, args.l)
+        cover = knot_from_seifert(args.n, args.p, args.q, args.l)
+        _check_glued_slots(args.n, cover.knot.period)
+        word = seifert_word(args.n, args.p, args.q, args.l)
+        diagram, relators_match = check_seifert_diagram(cover, word)
     else:
         _check_glued_slots(args.n, 2 * args.a + args.b + args.c)
         diagram = GluedDiagram(

@@ -10,9 +10,9 @@ closed pseudo-complex with n 2-cells and one 3-cell.
 When the gluing identifies all vertices to a single point and the edges to
 exactly n classes, walking each upper face boundary spells out one relator
 per face, and those relators form a cyclic presentation: the diagram then
-presents the branched cover geometrically. `check_seifert_diagram` runs
-the whole pipeline for one Seifert parameter tuple and compares the
-read-off against the expected defining word.
+presents the branched cover geometrically. `check_seifert_diagram` builds
+the diagram of a Seifert tuple's knot cover and checks that upper face i
+reads the (s + i)-th shift of the defining word, s the cover's shift.
 
 Internally every cell is a small integer. With m = 2a + b, edge j of
 meridian i (both counted from 1) has id (i - 1)m + j - 1, and edge j of
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .freegroup import FreeWord, seifert_word
-from .knots11 import knot_from_seifert
+from .freegroup import FreeWord
+from .knots11 import CoveredKnot
 
 Edge = tuple[str, int, int]
 
@@ -390,14 +390,6 @@ class GluedDiagram:
         return words
 
 
-def diagram_from_seifert(n: int, p: int, q: int, l: int) -> DiagramParams:
-    """Gluing data whose diagram presents the Seifert manifold with
-    invariants (n, p, q, l) as an n-fold strongly cyclic branched cover."""
-    cover = knot_from_seifert(n, p, q, l)
-    k = cover.knot
-    return DiagramParams(k.a, k.b, k.c, n, k.r, cover.shift)
-
-
 def expected_identifications(
     a: int, b: int, c: int, n: int
 ) -> list[tuple[Edge, Edge]]:
@@ -439,26 +431,14 @@ def edge_partition_from_pairs(
     return dict(zip(edges, dsu.locate(range(len(edges)))))
 
 
-def read_off_matches_cyclic(words: Sequence[FreeWord], w: FreeWord) -> bool:
-    """Do the read-off relators present the cyclic presentation of w?
-
-    True when, after some uniform relabeling shift k, face i reads exactly
-    the (k + i)-th shift of the defining word.
-    """
-    n = w.n
-    if len(words) != n:
-        return False
-    return any(
-        all(words[i] == w.shift(k + i) for i in range(n)) for k in range(n)
-    )
-
-
-def check_seifert_diagram(n: int, p: int, q: int, l: int) -> tuple[GluedDiagram, bool]:
-    """Build the diagram for (n, p, q, l) and say whether it meets the
-    one-vertex/n-edge criterion and reads off the defining word's cyclic
-    presentation: returns (diagram, relators match)."""
-    diagram = GluedDiagram(diagram_from_seifert(n, p, q, l))
-    match = diagram.satisfies_cover_criterion() and read_off_matches_cyclic(
-        diagram.read_off_words(), seifert_word(n, p, q, l)
+def check_seifert_diagram(cover: CoveredKnot, w: FreeWord) -> tuple[GluedDiagram, bool]:
+    """Build D(a, b, c, n, r, s) for the n-fold cover, with shift s, of the
+    knot K(a, b, c, r), and say whether it meets the one-vertex/n-edge
+    criterion and face i reads the (s + i)-th shift of the defining word w:
+    returns (diagram, relators match)."""
+    k, s = cover.knot, cover.shift
+    diagram = GluedDiagram(DiagramParams(k.a, k.b, k.c, cover.sheets, k.r, s))
+    match = diagram.satisfies_cover_criterion() and all(
+        word == w.shift(s + i) for i, word in enumerate(diagram.read_off_words())
     )
     return diagram, match

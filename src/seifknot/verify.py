@@ -3,17 +3,17 @@
 Each check exercises one externally stated guarantee of the toolkit. Five
 are grid checks: a test of one point returning its failure text or None,
 and a tail run once the whole grid has passed. `run_all` runs their tests
-in one walk over the grid, sharing one glued diagram per point, and times
-every check; the CLI and the acceptance tests read its results.
+in one walk over the grid, sharing one defining word, knot cover and glued
+diagram per point, and times every check; the CLI and the acceptance tests
+read its results.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cached_property
 from time import perf_counter
-from typing import Callable
 
 from .dunwoody import (
     GluedDiagram,
@@ -35,6 +35,7 @@ from .homology import (
     verify_snf_certificate,
 )
 from .knots11 import (
+    CoveredKnot,
     KnotParams,
     UnsupportedTwist,
     coincident_seifert_params,
@@ -241,19 +242,35 @@ def check_property_suite(seed: int = 0) -> tuple[bool, str]:
 
 # -- the grid checks, one point at a time -------------------------------------
 
-# A test gets the point and a callable that builds its (diagram, relators
-# match) pair once. No alias for that callable: typing would cache it, and
-# with it each import.
 Point = tuple[int, int, int, int]
 
 
-def _tietze_at(
-    point: Point, report: Callable[[], tuple[GluedDiagram, bool]]
-) -> str | None:
+@dataclass
+class _GridPoint:
+    """A grid point and what its tests share, each built when first read;
+    a build that raises fails only the tests that read it."""
+
+    point: Point
+
+    @cached_property
+    def word(self) -> FreeWord:
+        return seifert_word(*self.point)
+
+    @cached_property
+    def cover(self) -> CoveredKnot:
+        return knot_from_seifert(*self.point)
+
+    @cached_property
+    def diagram(self) -> tuple[GluedDiagram, bool]:
+        """(diagram, relators match), from `check_seifert_diagram`."""
+        return check_seifert_diagram(self.cover, self.word)
+
+
+def _tietze_at(at: _GridPoint) -> str | None:
     """Every rewriting witness is a free-group identity."""
-    for label, lhs, rhs in tietze_witnesses(*point):
+    for label, lhs, rhs in tietze_witnesses(*at.point):
         if lhs != rhs:
-            return f"witness {label} fails at {point}"
+            return f"witness {label} fails at {at.point}"
     return None
 
 
@@ -266,17 +283,15 @@ def _tietze_tail(grid: list[Point]) -> tuple[bool, str]:
     return True, f"{len(grid)} parameter tuples, {instances} identities"
 
 
-def _homology_at(
-    point: Point, report: Callable[[], tuple[GluedDiagram, bool]]
-) -> str | None:
+def _homology_at(at: _GridPoint) -> str | None:
     """Both presentations abelianize identically, the circulant shortcut
     agrees, and the order is p^(n-1) times |H1| of the lens space L(nlq-p, q)."""
-    n, p, q, l = point
-    cyc = first_homology(seifert_cyclic_presentation(*point))
+    point = n, p, q, l = at.point
+    cyc = first_homology(cyclic_presentation(at.word))
     std = first_homology(standard_seifert_presentation(*point))
     if cyc != std:
         return f"H1 mismatch at {point}: {cyc} vs {std}"
-    order = circulant_order(seifert_word(*point).exponent_vector())
+    order = circulant_order(at.word.exponent_vector())
     if order != (cyc.order() or 0):  # 0 stands for an infinite H1
         return f"circulant order mismatch at {point}"
     if order != p ** (n - 1) * abs(n * l * q - p):
@@ -294,28 +309,25 @@ def _homology_tail(grid: list[Point]) -> tuple[bool, str]:
     return True, f"{len(grid)} parameter tuples, H1 equal both routes"
 
 
-def _diagram_at(
-    point: Point, report: Callable[[], tuple[GluedDiagram, bool]]
-) -> str | None:
+def _diagram_at(at: _GridPoint) -> str | None:
     """The diagram has counts (1, n, n, 1) and reads off the cyclic
     presentation's relators."""
-    diagram, relators_match = report()
+    diagram, relators_match = at.diagram
     counts = diagram.counts()
-    if counts != (1, point[0], point[0], 1):
-        return f"counts {counts} at {point}"
+    if counts != (1, at.point[0], at.point[0], 1):
+        return f"counts {counts} at {at.point}"
     if not relators_match:  # false too when the criterion fails
-        return f"diagram check fails at {point}"
+        return f"diagram check fails at {at.point}"
     return None
 
 
-def _identification_at(
-    point: Point, report: Callable[[], tuple[GluedDiagram, bool]]
-) -> str | None:
+def _identification_at(at: _GridPoint) -> str | None:
     """On the aligned branch p >= 2q, the glued edge identifications are
     exactly the two closed-form families, orientations included."""
+    point = at.point
     if point[1] < 2 * point[2]:
         return None
-    diagram = report()[0]
+    diagram = at.diagram[0]
     params = diagram.params
     if params.s != 0 or params.r != params.a + params.c:
         return f"unexpected gluing data {params} at {point}"
@@ -327,12 +339,10 @@ def _identification_at(
     return None
 
 
-def _cover_at(
-    point: Point, report: Callable[[], tuple[GluedDiagram, bool]]
-) -> str | None:
+def _cover_at(at: _GridPoint) -> str | None:
     """The knot attached to the point reduces to its stated ambient space."""
-    n, p, q, l = point
-    cover = knot_from_seifert(n, p, q, l)
+    point = n, p, q, l = at.point
+    cover = at.cover
     k = cover.knot
     expected_r = k.a + k.c if cover.shift == 0 else k.a
     if k.r != p - q or k.r != expected_r:
@@ -397,7 +407,7 @@ def run_all(
     grid, each until its first failure; an exception fails only the check
     whose test raised. Then every check whose grid passed runs its tail.
     A check's seconds are its tests', its tail's and those of the shared
-    diagrams it read first. A grid with no parameter tuple (the grid
+    words, covers and diagrams it read first. A grid with no parameter tuple (the grid
     checks would pass vacuously) and a budget below 1 raise ValueError."""
     grid = seifert_parameter_grid(n_max, p_max, l_max)
     if not grid:
@@ -425,16 +435,16 @@ def run_all(
     failures: dict[str, str | None] = {name: None for name, _, _ in checks}
     seconds = dict.fromkeys(failures, 0.0)
     for point in grid:
-        report = cache(partial(check_seifert_diagram, *point))
+        at = _GridPoint(point)
         for name, test, _ in checks:
             if test is not None and failures[name] is None:
                 start = perf_counter()
                 try:
-                    failures[name] = test(point, report)
+                    failures[name] = test(at)
                 except Exception as exc:  # fails this check only
                     failures[name] = f"{type(exc).__name__}: {exc}"
                 seconds[name] += perf_counter() - start
-    del report  # nothing built for a point outlives it
+    del at  # nothing built for a point outlives it
     results = []
     for name, _, tail in checks:
         start = perf_counter()

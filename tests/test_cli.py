@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -6,8 +7,6 @@ import pytest
 
 from seifknot import cli
 from seifknot.cli import build_parser, main
-from seifknot.dunwoody import diagram_from_seifert
-from seifknot.presentations import seifert_parameter_grid
 from seifknot.verify import GATE_GRID
 
 
@@ -69,6 +68,19 @@ def test_homology_matrix_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--json", "homology", "matrix", str(path))
     assert code == 0
     assert json.loads(out) == {"rank": 0, "torsion": [15]}
+
+
+DEEP_JSON = "[" * 2000 + "]" * 2000
+
+
+def test_deeply_nested_json_is_rejected(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code, out, err = run_cli(capsys, "homology", "matrix", str(path))
+    assert (code, out, err) == (1, "", "error: JSON nested too deeply\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(DEEP_JSON))
+    code, out, err = run_cli(capsys, "alexander", "--presentation", "-")
+    assert (code, out, err) == (1, "", "error: JSON nested too deeply\n")
 
 
 def test_homology_matrix_rejects_bad_file(tmp_path, capsys):
@@ -239,13 +251,6 @@ def test_dunwoody_size_cap_is_inclusive(capsys, monkeypatch):
     assert len(built) == 2
 
 
-def test_check_slot_count_closed_form():
-    # the cap on `dunwoody check` counts n(nql + p - 2q) slots
-    for n, p, q, l in seifert_parameter_grid(*GATE_GRID):
-        params = diagram_from_seifert(n, p, q, l)
-        assert 2 * params.a + params.b + params.c == n * q * l + p - 2 * q
-
-
 # edge classes of D(2,2,1,3,3,0), the diagram of (3,5,2,1), as the CLI lists them
 D221330_EDGE_CLASSES = [
     [[["m", 1, 1], 1], [["m", 1, 2], 1], [["m", 2, 5], 1], [["m", 2, 6], 1],
@@ -396,13 +401,20 @@ def test_verify_all_rejects_a_budget_below_one(capsys, monkeypatch, budget):
         ("homology cyclic 2 3 1 75001", "300004 relator syllables"),
         ("homology cyclic 448 3 1 1", "448 x 448 = 200704 cells"),
         ("homology standard 315 3 1 1", "633 x 317 = 200661 cells"),
+        # invalid parameters are reported as such, even over a cap
+        ("present 100000 3 5 1", "need 1 <= q < p"),
+        ("tietze 100000 3 5 1", "need 1 <= q < p"),
+        ("homology cyclic 100000 3 5 1", "need 1 <= q < p"),
+        ("homology standard 100000 4 2 1", "need gcd(p, q) = 1"),
+        ("dunwoody check 2000 3 5 1000", "need 1 <= q < p"),  # 2000 * 9999993 slots
     ],
 )
 def test_presentation_size_caps(capsys, monkeypatch, command, message):
     def no_work(*args):
-        raise AssertionError("a presentation over the cap was built")
+        raise AssertionError("a presentation or diagram over the cap was built")
 
-    for name in ("seifert_cyclic_presentation", "standard_seifert_presentation", "tietze_witnesses"):
+    for name in ("seifert_cyclic_presentation", "standard_seifert_presentation",
+                 "tietze_witnesses", "check_seifert_diagram"):
         monkeypatch.setattr(cli, name, no_work)
     code, out, err = run_cli(capsys, *command.split())
     assert code == 1 and not out

@@ -11,12 +11,11 @@ from seifknot.dunwoody import (
     GluingError,
     Tessellation,
     check_seifert_diagram,
-    diagram_from_seifert,
     edge_partition_from_pairs,
     expected_identifications,
-    read_off_matches_cyclic,
 )
 from seifknot.freegroup import parse_word, seifert_word
+from seifknot.knots11 import knot_from_seifert
 from seifknot.presentations import seifert_parameter_grid
 from seifknot.verify import GATE_GRID
 
@@ -98,16 +97,26 @@ def test_glued_diagram_failing_rotation():
         diagram.read_off_words()
 
 
-def test_diagram_from_seifert_pinned():
-    assert diagram_from_seifert(3, 2, 1, 1) == DiagramParams(1, 1, 0, 3, 1, 0)
-    assert diagram_from_seifert(2, 3, 2, 2) == DiagramParams(1, 1, 4, 2, 1, 1)
-    assert diagram_from_seifert(3, 5, 2, 1) == DiagramParams(2, 2, 1, 3, 3, 0)
+def seifert_diagram(n, p, q, l, word=None):
+    """(diagram, relators match) for the point, read off against its
+    defining word unless another word is given."""
+    if word is None:
+        word = seifert_word(n, p, q, l)
+    return check_seifert_diagram(knot_from_seifert(n, p, q, l), word)
+
+
+def test_seifert_diagram_params_pinned():
+    assert seifert_diagram(3, 2, 1, 1)[0].params == DiagramParams(1, 1, 0, 3, 1, 0)
+    assert seifert_diagram(2, 3, 2, 2)[0].params == DiagramParams(1, 1, 4, 2, 1, 1)
+    assert seifert_diagram(3, 5, 2, 1)[0].params == DiagramParams(2, 2, 1, 3, 3, 0)
 
 
 def test_check_seifert_diagram():
     for params in [(2, 3, 2, 2), (3, 2, 1, 1), (3, 5, 2, 1), (4, 3, 2, 1)]:
-        diagram, relators_match = check_seifert_diagram(*params)
-        assert diagram.params == diagram_from_seifert(*params)
+        cover = knot_from_seifert(*params)
+        k = cover.knot
+        diagram, relators_match = check_seifert_diagram(cover, seifert_word(*params))
+        assert diagram.params == DiagramParams(k.a, k.b, k.c, params[0], k.r, cover.shift)
         assert diagram.counts()[0] == 1
         assert diagram.counts()[1] == params[0]
         assert diagram.satisfies_cover_criterion()
@@ -115,17 +124,26 @@ def test_check_seifert_diagram():
 
 
 def test_read_off_matches_cyclic():
-    diagram = GluedDiagram(DiagramParams(1, 1, 0, 3, 1, 0))
-    words = diagram.read_off_words()
-    assert read_off_matches_cyclic(words, seifert_word(3, 2, 1, 1))
-    assert not read_off_matches_cyclic(words, parse_word("x1 x2 x3", 3))
+    assert seifert_diagram(3, 2, 1, 1)[1]
+    assert not seifert_diagram(3, 2, 1, 1, parse_word("x1 x2 x3", 3))[1]
+
+
+@pytest.mark.parametrize(
+    "point", [(3, 2, 1, 1), (2, 3, 2, 2)], ids=["aligned", "crossed"]
+)
+def test_read_off_is_compared_at_the_covers_shift(point):
+    # face i must read the defining word shifted by exactly s + i; another
+    # relabeling shift of the same word does not match
+    diagram, relators_match = seifert_diagram(*point)
+    assert diagram.satisfies_cover_criterion() and relators_match
+    assert not seifert_diagram(*point, seifert_word(*point).shift(1))[1]
 
 
 def test_expected_identifications_match_gluing():
     for seifert in [(3, 5, 2, 1), (2, 5, 2, 2), (4, 7, 3, 1)]:
-        params = diagram_from_seifert(*seifert)
+        diagram = seifert_diagram(*seifert)[0]
+        params = diagram.params
         assert params.s == 0  # the rules cover the unshifted family
-        diagram = GluedDiagram(params)
         pairs = expected_identifications(params.a, params.b, params.c, params.n)
         assert len(pairs) == params.n * diagram.tessellation.cycle_length
         rebuilt = edge_partition_from_pairs(diagram.tessellation.edges, pairs)
@@ -147,7 +165,7 @@ def test_diagram_params_validation():
 
 def test_whole_grid_produces_cover_diagrams():
     for n, p, q, l in seifert_parameter_grid(4, 5, 2):
-        diagram, relators_match = check_seifert_diagram(n, p, q, l)
+        diagram, relators_match = seifert_diagram(n, p, q, l)
         assert diagram.satisfies_cover_criterion() and relators_match, (n, p, q, l)
 
 
@@ -205,7 +223,7 @@ def test_gate_grid_diagrams_are_pinned():
     points = seifert_parameter_grid(*GATE_GRID)
     params = []
     for point in points:
-        p = diagram_from_seifert(*point)
+        p = seifert_diagram(*point)[0].params
         params.append((p.a, p.b, p.c, p.n, p.r, p.s))
     assert len(params) == 238
     assert _diagram_digest(params) == GATE_GRID_DIGEST

@@ -191,7 +191,7 @@ def test_h1_order_is_p_power_times_ambient_lens_order():
     # the stricter check passes on a grid and keeps its detail string
     grid = seifert_parameter_grid(4, 5, 2)
     for point in grid:
-        assert verify._homology_at(point, None) is None, point
+        assert verify._homology_at(verify._GridPoint(point)) is None, point
     assert verify._homology_tail(grid) == (
         True,
         "45 parameter tuples, H1 equal both routes",

@@ -7,9 +7,11 @@ import re
 
 import pytest
 
-from seifknot import verify
+from seifknot import cli, verify
 from seifknot.cli import main
+from seifknot.freegroup import seifert_word
 from seifknot.presentations import seifert_parameter_grid
+from seifknot.verify import DEFAULT_BUDGET, GATE_GRID
 
 SMALL_GRID_JSON = """\
 {
@@ -86,7 +88,17 @@ def test_small_grid_json_is_pinned(capsys):
     assert out == SMALL_GRID_JSON
 
 
-def test_gate_grid_json_is_pinned(capsys):
+def test_gate_grid_json_is_pinned(capsys, monkeypatch, gate_results):
+    # the gate grid runs once per session (conftest.py); the CLI prints it
+    def shared_run(*args, **kwargs):
+        n_max, p_max, l_max = GATE_GRID
+        assert args == ()
+        assert kwargs == dict(
+            n_max=n_max, p_max=p_max, l_max=l_max, seed=0, budget=DEFAULT_BUDGET
+        )
+        return gate_results
+
+    monkeypatch.setattr(cli, "run_all", shared_run)
     code, out, _ = run_cli(capsys, "--json", "verify-all")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GATE_GRID_SHA256
@@ -102,29 +114,31 @@ def fail_at(monkeypatch, attr, points, exc=None):
     original = getattr(verify, attr)
     seen = []
 
-    def test(point, report):
-        seen.append(point)
-        if point in points:
+    def test(at):
+        seen.append(at.point)
+        if at.point in points:
             if exc is not None:
                 raise exc
-            return f"planted failure at {point}"
-        return original(point, report)
+            return f"planted failure at {at.point}"
+        return original(at)
 
     monkeypatch.setattr(verify, attr, test)
     return seen
 
 
 def break_diagrams(monkeypatch, points):
-    """Make building the diagram report raise at the given points; return
-    the points at which a report was built."""
+    """Make building the diagram of a SMALL_GRID point raise at the given
+    points; return the points at which a diagram was built."""
     original = verify.check_seifert_diagram
+    point_of = {seifert_word(*point): point for point in seifert_parameter_grid(*SMALL_GRID)}
     seen = []
 
-    def build(*point):
+    def build(cover, word):
+        point = point_of[word]
         seen.append(point)
         if point in points:
             raise RuntimeError("no diagram")
-        return original(*point)
+        return original(cover, word)
 
     monkeypatch.setattr(verify, "check_seifert_diagram", build)
     return seen
