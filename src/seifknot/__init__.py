@@ -19,7 +19,6 @@ from .dunwoody import (
     DiagramParams,
     GluedDiagram,
     GluingError,
-    Tessellation,
     check_seifert_diagram,
     expected_identifications,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "KnotParams",
     "LaurentPoly",
     "Presentation",
-    "Tessellation",
     "UnsupportedTwist",
     "alexander_matrix",
     "alexander_polynomial",

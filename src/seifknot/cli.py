@@ -26,13 +26,14 @@ from .knots11 import (
     reduce_to_lens,
 )
 from .presentations import (
+    DEFAULT_BUDGET,
     Presentation,
     seifert_cyclic_presentation,
     standard_seifert_presentation,
     tietze_witnesses,
     validate_seifert_params,
 )
-from .verify import DEFAULT_BUDGET, GATE_GRID, run_all
+from .verify import GATE_GRID, run_all
 
 
 def _emit(args: argparse.Namespace, data: dict[str, Any], human: str) -> None:
@@ -42,14 +43,35 @@ def _emit(args: argparse.Namespace, data: dict[str, Any], human: str) -> None:
         print(human)
 
 
+# Most levels of JSON nesting a command reads (a matrix or a presentation
+# needs two). The parser's own recursion limit differs between Python
+# versions, so it alone would not give one answer.
+MAX_JSON_DEPTH = 100
+
+
 def _load_json(path: str) -> Any:
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+    # the lists and objects at each level in turn, without recursion
+    level = [data] if isinstance(data, (list, dict)) else []
+    for _ in range(MAX_JSON_DEPTH):
+        level = [
+            y for x in level for y in (x.values() if isinstance(x, dict) else x)
+            if isinstance(y, (list, dict))
+        ]
+    if level:
+        raise ValueError("JSON nested too deeply")
+    return data
+
+
+# Most characters of a rejected matrix entry that an error message quotes
+MAX_ENTRY_ECHO = 40
 
 
 def _load_int_matrix(path: str) -> list[list[int]]:
@@ -65,7 +87,10 @@ def _load_int_matrix(path: str) -> list[list[int]]:
     for row in rows:
         for x in row:
             if type(x) is not int:  # bool is a subclass of int
-                raise ValueError(f"matrix entry {json.dumps(x)} is not an integer")
+                text = json.dumps(x)
+                if len(text) > MAX_ENTRY_ECHO:
+                    text = text[: MAX_ENTRY_ECHO - 3] + "..."
+                raise ValueError(f"matrix entry {text} is not an integer")
     return rows
 
 

@@ -17,22 +17,23 @@ reads the (s + i)-th shift of the defining word, s the cover's shift.
 Internally every cell is a small integer. With m = 2a + b, edge j of
 meridian i (both counted from 1) has id (i - 1)m + j - 1, and edge j of
 arc i follows all meridian edges with id nm + (i - 1)c + j - 1; this is
-the order of `Tessellation.edges`. Vertices are numbered 0..V-1 after the
-identifications that degenerate strand counts force. Each face boundary
-is stored once as a list of edge ids, with one traversal-sign pattern for
-every upper face and its negative for every lower one; a slot's end
-vertices are read from its edge's tail and head. The gluing runs a
-list-backed union-find over those ids. The tuple forms
-(`Tessellation.edges`, `GluedDiagram.edge_location`,
-`GluedDiagram.edge_classes`) are built from the integer results when they
-are first read.
+the order of `GluedDiagram.edges`. Vertices are numbered 0..V-1 after
+the identifications that degenerate strand counts force. Each face
+boundary is stored once as a list of edge ids, with one traversal-sign
+pattern for every upper face and its negative for every lower one; a
+slot's end vertices are read from its edge's tail and head. The gluing
+runs a list-backed union-find over those ids, and the identification
+rules (`expected_identifications`, `edge_partition_from_pairs`) speak the
+same ids. The tuple names (`GluedDiagram.edges`,
+`GluedDiagram.edge_classes`, the text of a `GluingError`) are built only
+for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .freegroup import FreeWord
 from .knots11 import CoveredKnot
@@ -135,132 +136,6 @@ def _backwards(seq: list[int], start: int) -> list[int]:
     return rev[k:] + rev[:k]
 
 
-class Tessellation:
-    """The pole/meridian/arc tessellation of the sphere, with the vertex
-    identifications that degenerate parameters force (an empty arc merges
-    its two endpoints, an empty band merges the vertices it would separate).
-    """
-
-    def __init__(self, a: int, b: int, c: int, n: int):
-        if min(a, b, c) < 0 or n < 1:
-            raise ValueError("need a, b, c >= 0 and n >= 1")
-        if 2 * a + b == 0:
-            raise ValueError("meridians need at least one edge (2a + b >= 1)")
-        if a + b + c == 0:
-            raise ValueError("need at least one strand")
-        self.a, self.b, self.c, self.n = a, b, c, n
-        m = 2 * a + b
-        self.cycle_length = m + c
-        self.num_edges = n * (m + c)
-
-        # raw vertex ids: the poles, then per sheet the m - 1 inner
-        # meridian vertices followed by the c - 1 inner arc vertices
-        self._sheet_size = m - 1 + max(c - 1, 0)
-        vertex_of = list(range(2 + n * self._sheet_size))
-        if c == 0:
-            merged = _ParityDSU(len(vertex_of))
-            for i in range(1, n + 1):
-                merged.union(
-                    self._meridian_vertex(self._prev(i), a),
-                    self._meridian_vertex(i, a + b),
-                )
-            vertex_of = [k for k, _ in merged.locate(vertex_of)]
-        self.num_vertices = max(vertex_of) + 1
-
-        # endpoints of each edge, indexed by edge id
-        self._tail: list[int] = []
-        self._head: list[int] = []
-        for i in range(1, n + 1):
-            base = 2 + (i - 1) * self._sheet_size
-            meridian = [_SOUTH, *range(base, base + m - 1), _NORTH]
-            chain = [vertex_of[v] for v in meridian]
-            self._tail += chain[:-1]
-            self._head += chain[1:]
-        for i in range(1, n + 1) if c > 0 else ():  # an empty arc has no edges
-            base = 2 + (i - 1) * self._sheet_size + m - 1
-            arc = [
-                self._meridian_vertex(self._prev(i), a),
-                *range(base, base + c - 1),
-                self._meridian_vertex(i, a + b),
-            ]
-            chain = [vertex_of[v] for v in arc]
-            self._tail += chain[:-1]
-            self._head += chain[1:]
-
-        # face boundaries as edge ids, face i at index i - 1. The face above
-        # arc i starts at the north pole: down the top of meridian i,
-        # backwards along the arc, then up the middle and top of meridian
-        # i - 1. The face below it starts at the south pole: up the bottom
-        # of meridian i - 1, along the arc, then down the middle and bottom
-        # of meridian i. Every face has the same traversal signs as the
-        # others on its side, +1 along an edge and -1 against it.
-        self._up_signs = [-1] * (a + c) + [1] * (a + b)
-        self._low_signs = [1] * (a + c) + [-1] * (a + b)
-        self._upper: list[list[int]] = []
-        self._lower: list[list[int]] = []
-        for i in range(1, n + 1):
-            mer = (i - 1) * m  # first edge of meridian i
-            prev = (self._prev(i) - 1) * m  # first edge of meridian i - 1
-            arc = n * m + (i - 1) * c  # first edge of arc i
-            self._upper.append([
-                *range(mer + m - 1, mer + m - 1 - a, -1),
-                *range(arc + c - 1, arc - 1, -1),
-                *range(prev + a, prev + m),
-            ])
-            self._lower.append([
-                *range(prev, prev + a),
-                *range(arc, arc + c),
-                *range(mer + a + b - 1, mer - 1, -1),
-            ])
-        self._check_boundaries(vertex_of[_NORTH], vertex_of[_SOUTH])
-        if self.num_vertices - self.num_edges + 2 * n != 2:  # 2n faces
-            raise ValueError(
-                f"strand counts a={a}, b={b}, c={c} with n={n} force vertex "
-                "identifications that do not tessellate a sphere"
-            )
-
-    def _prev(self, i: int) -> int:
-        return i - 1 if i > 1 else self.n
-
-    def _meridian_vertex(self, i: int, h: int) -> int:
-        m = 2 * self.a + self.b
-        if h == 0:
-            return _SOUTH
-        if h == m:
-            return _NORTH
-        return 2 + (i - 1) * self._sheet_size + h - 1
-
-    @cached_property
-    def edges(self) -> list[Edge]:
-        """Every edge in id order: ("m", i, j) is edge j of meridian i,
-        counted up from the south pole; ("a", i, j) is edge j of arc i."""
-        m, c = 2 * self.a + self.b, self.c
-        meridians = range(1, self.n + 1)
-        return [("m", i, j) for i in meridians for j in range(1, m + 1)] + [
-            ("a", i, j) for i in meridians for j in range(1, c + 1)
-        ]
-
-    def _check_boundaries(self, north: int, south: int) -> None:
-        """Check that every face boundary chains from its base pole back to
-        it."""
-        tail, head = self._tail, self._head
-        for i in range(self.n):
-            for edges, signs, base in (
-                (self._upper[i], self._up_signs, north),
-                (self._lower[i], self._low_signs, south),
-            ):
-                if len(edges) != self.cycle_length:
-                    raise AssertionError("boundary length mismatch")
-                at = base
-                for e, sign in zip(edges, signs):
-                    start, end = (tail[e], head[e]) if sign > 0 else (head[e], tail[e])
-                    if start != at:
-                        raise AssertionError("boundary cycle does not chain")
-                    at = end
-                if at != base:
-                    raise AssertionError("boundary cycle does not close")
-
-
 @dataclass(frozen=True)
 class DiagramParams:
     """Gluing data D(a, b, c, n, r, s): strand counts, meridian count,
@@ -276,7 +151,7 @@ class DiagramParams:
     def __post_init__(self) -> None:
         if min(self.a, self.b, self.c) < 0 or self.n < 1:
             raise ValueError("need a, b, c >= 0 and n >= 1")
-        if 2 * self.a + self.b == 0 or self.a + self.b + self.c == 0:
+        if 2 * self.a + self.b == 0:  # meridians need an edge, so a strand
             raise ValueError("degenerate tessellation")
         if self.s not in (0, 1):
             raise ValueError("shift must be 0 or 1")
@@ -286,29 +161,135 @@ class DiagramParams:
 
 
 class GluedDiagram:
-    """Result of the face pairing: edge classes with orientations, vertex
-    classes, and the relators read off the upper faces."""
+    """D(a, b, c, n, r, s): the pole/meridian/arc tessellation of the
+    sphere and the result of its face pairing, that is edge classes with
+    orientations, vertex classes, and the relators read off the upper
+    faces.
+
+    The tessellation carries the vertex identifications that degenerate
+    strand counts force (an empty arc merges its two endpoints, an empty
+    band merges the vertices it would separate); strand counts whose
+    identifications leave no sphere raise ValueError. `edge_location[e]`
+    is (class index, parity relative to the class's first edge) of edge id
+    e, with classes indexed by first appearance in id order.
+    """
 
     def __init__(self, params: DiagramParams):
         self.params = params
-        self.tessellation = Tessellation(params.a, params.b, params.c, params.n)
-        tess = self.tessellation
-        n, r, s = params.n, params.r, params.s
+        self._glue(self._tessellate())
 
-        edge_dsu = _ParityDSU(tess.num_edges)
-        vertex_dsu = _ParityDSU(tess.num_vertices)
+    def _tessellate(self) -> int:
+        """Build the edge ends (`_tail`, `_head`, indexed by edge id) and
+        the face boundaries (`_upper`, `_lower`, face i at index i - 1) of
+        the sphere, check that they tessellate it, and return its number
+        of vertices."""
+        a, b, c, n = self.params.a, self.params.b, self.params.c, self.params.n
+        m = 2 * a + b
+        # raw vertex ids: the poles, then per sheet the m - 1 inner
+        # meridian vertices followed by the c - 1 inner arc vertices
+        sheet = m - 1 + max(c - 1, 0)
+
+        def arc_ends(i: int) -> tuple[int, int]:
+            """Raw ids of the ends of arc i + 1: a edges up meridian i
+            (meridian n for the first arc) and a edges down meridian
+            i + 1, so the poles when a = 0."""
+            if a == 0:
+                return _SOUTH, _NORTH
+            return 2 + (i - 1) % n * sheet + a - 1, 2 + i * sheet + a + b - 1
+
+        vertex_of = list(range(2 + n * sheet))
+        if c == 0:  # an empty arc merges its ends
+            merged = _ParityDSU(len(vertex_of))
+            for i in range(n):
+                merged.union(*arc_ends(i))
+            vertex_of = [k for k, _ in merged.locate(vertex_of)]
+        num_vertices = max(vertex_of) + 1
+
+        self._tail: list[int] = []
+        self._head: list[int] = []
+        for i in range(n):
+            base = 2 + i * sheet
+            chain = [vertex_of[v] for v in (_SOUTH, *range(base, base + m - 1), _NORTH)]
+            self._tail += chain[:-1]
+            self._head += chain[1:]
+        for i in range(n) if c > 0 else ():  # an empty arc has no edges
+            base = 2 + i * sheet + m - 1
+            low, high = arc_ends(i)
+            chain = [vertex_of[v] for v in (low, *range(base, base + c - 1), high)]
+            self._tail += chain[:-1]
+            self._head += chain[1:]
+
+        # The face above arc i starts at the north pole: down the top of
+        # meridian i, backwards along the arc, then up the middle and top
+        # of meridian i - 1. The face below it starts at the south pole: up
+        # the bottom of meridian i - 1, along the arc, then down the middle
+        # and bottom of meridian i. Every face has the same traversal signs
+        # as the others on its side, +1 along an edge and -1 against it.
+        self._up_signs = [-1] * (a + c) + [1] * (a + b)
+        self._low_signs = [1] * (a + c) + [-1] * (a + b)
+        self._upper: list[list[int]] = []
+        self._lower: list[list[int]] = []
+        for i in range(n):
+            mer = i * m  # first edge of meridian i + 1
+            prev = (i - 1) % n * m  # first edge of meridian i
+            arc = n * m + i * c  # first edge of arc i + 1
+            self._upper.append([
+                *range(mer + m - 1, mer + m - 1 - a, -1),
+                *range(arc + c - 1, arc - 1, -1),
+                *range(prev + a, prev + m),
+            ])
+            self._lower.append([
+                *range(prev, prev + a),
+                *range(arc, arc + c),
+                *range(mer + a + b - 1, mer - 1, -1),
+            ])
+        self._check_boundaries(vertex_of[_NORTH], vertex_of[_SOUTH])
+        if num_vertices - len(self._tail) + 2 * n != 2:  # 2n faces
+            raise ValueError(
+                f"strand counts a={a}, b={b}, c={c} with n={n} force vertex "
+                "identifications that do not tessellate a sphere"
+            )
+        return num_vertices
+
+    def _check_boundaries(self, north: int, south: int) -> None:
+        """Check that every face boundary chains from its base pole back to
+        it."""
+        tail, head = self._tail, self._head
+        length = 2 * self.params.a + self.params.b + self.params.c
+        for i in range(self.params.n):
+            for edges, signs, base in (
+                (self._upper[i], self._up_signs, north),
+                (self._lower[i], self._low_signs, south),
+            ):
+                if len(edges) != length:
+                    raise AssertionError("boundary length mismatch")
+                at = base
+                for e, sign in zip(edges, signs):
+                    start, end = (tail[e], head[e]) if sign > 0 else (head[e], tail[e])
+                    if start != at:
+                        raise AssertionError("boundary cycle does not chain")
+                    at = end
+                if at != base:
+                    raise AssertionError("boundary cycle does not close")
+
+    def _glue(self, num_vertices: int) -> None:
+        """Pair each upper face with its lower partner, merging edges (with
+        their relative orientation) and vertices."""
+        n, r, s = self.params.n, self.params.r, self.params.s
+        tail, head = self._tail, self._head
+        edge_dsu = _ParityDSU(len(tail))
+        vertex_dsu = _ParityDSU(num_vertices)
         join_edges, join_vertices = edge_dsu.union, vertex_dsu.union
-        tail, head = tess._tail, tess._head
         # slot x of upper face j meets slot (r - 1 - x) mod L of its lower
         # partner, read backwards from a start the twist sets; so the start
         # of slot x meets the end of the partner slot
-        low_signs = _backwards(tess._low_signs, r - 1)
+        low_signs = _backwards(self._low_signs, r - 1)
         try:
             for j in range(n):
                 for u, v, eps, delta in zip(
-                    tess._upper[j],
-                    _backwards(tess._lower[(j + s) % n], r - 1),
-                    tess._up_signs,
+                    self._upper[j],
+                    _backwards(self._lower[(j + s) % n], r - 1),
+                    self._up_signs,
                     low_signs,
                 ):
                     join_edges(u, v, eps == delta)
@@ -318,19 +299,24 @@ class GluedDiagram:
                     )
         except GluingError:
             raise GluingError(
-                f"edge {tess.edges[u]} is forced to match its own reverse "
-                f"via {tess.edges[v]}"
+                f"edge {self.edges[u]} is forced to match its own reverse "
+                f"via {self.edges[v]}"
             ) from None
 
         self.vertex_class_count = vertex_dsu.classes
         self._edge_class_count = edge_dsu.classes
-        # (class index, parity) per edge id, classes by first appearance
-        self._location = edge_dsu.locate(range(tess.num_edges))
+        self.edge_location = edge_dsu.locate(range(len(tail)))
 
     @cached_property
-    def edge_location(self) -> dict[Edge, tuple[int, int]]:
-        """Edge -> (class index, parity relative to the class's first edge)."""
-        return dict(zip(self.tessellation.edges, self._location))
+    def edges(self) -> list[Edge]:
+        """Every edge in id order: ("m", i, j) is edge j of meridian i,
+        counted up from the south pole; ("a", i, j) is edge j of arc i."""
+        p = self.params
+        m, c = 2 * p.a + p.b, p.c
+        meridians = range(1, p.n + 1)
+        return [("m", i, j) for i in meridians for j in range(1, m + 1)] + [
+            ("a", i, j) for i in meridians for j in range(1, c + 1)
+        ]
 
     @cached_property
     def edge_classes(self) -> list[list[tuple[Edge, int]]]:
@@ -338,7 +324,7 @@ class GluedDiagram:
         classes: list[list[tuple[Edge, int]]] = [
             [] for _ in range(self._edge_class_count)
         ]
-        for e, (idx, rel) in zip(self.tessellation.edges, self._location):
+        for e, (idx, rel) in zip(self.edges, self.edge_location):
             classes[idx].append((e, rel))
         return classes
 
@@ -368,7 +354,7 @@ class GluedDiagram:
                 f"read-off needs exactly {n} edge classes, "
                 f"got {self._edge_class_count}"
             )
-        location = self._location
+        location = self.edge_location
         m = 2 * self.params.a + self.params.b
         firsts = [location[i * m][0] for i in range(n)]  # edge ("m", i + 1, 1)
         if len(set(firsts)) != n:
@@ -378,10 +364,9 @@ class GluedDiagram:
             )
         labels = {cls: i + 1 for i, cls in enumerate(firsts)}
         start = self.params.a + self.params.c if self.params.s == 0 else self.params.a
-        up_signs = self.tessellation._up_signs
-        signs = up_signs[start:] + up_signs[:start]
+        signs = self._up_signs[start:] + self._up_signs[:start]
         words = []
-        for edges in self.tessellation._upper:
+        for edges in self._upper:
             syllables = []
             for e, sign in zip(edges[start:] + edges[:start], signs):
                 cls, par = location[e]
@@ -390,45 +375,39 @@ class GluedDiagram:
         return words
 
 
-def expected_identifications(
-    a: int, b: int, c: int, n: int
-) -> list[tuple[Edge, Edge]]:
-    """Orientation-preserving edge pairs that the gluing with twist a + c
-    and shift 0 must produce: each meridian edge below the top band
-    matches the edge a steps higher on the previous meridian, and the
-    2a + c edges of the bottom-arc-top path across each face match
-    themselves shifted by a. Together these are exactly one pair per
-    boundary slot, n(2a + b + c) in all.
+def expected_identifications(a: int, b: int, c: int, n: int) -> list[tuple[int, int]]:
+    """Orientation-preserving edge-id pairs (ids as in `GluedDiagram.edges`)
+    that the gluing with twist a + c and shift 0 must produce: each
+    meridian edge below the top band matches the edge a steps higher on
+    the previous meridian, and the 2a + c edges of the bottom-arc-top path
+    across each face match themselves shifted by a. Together these are
+    exactly one pair per boundary slot, n(2a + b + c) in all.
     """
     if a < 1:
         raise ValueError("the shifted-path family needs a >= 1")
-    pairs: list[tuple[Edge, Edge]] = []
-    for i in range(1, n + 1):
-        prev = i - 1 if i > 1 else n
-        for j in range(1, a + b + 1):
-            pairs.append((("m", i, j), ("m", prev, j + a)))
-        path: list[Edge] = (
-            [("m", prev, t) for t in range(1, a + 1)]
-            + [("a", i, t) for t in range(1, c + 1)]
-            + [("m", i, a + b + t) for t in range(1, a + 1)]
-        )
-        for j in range(len(path) - a):
-            pairs.append((path[j], path[j + a]))
+    m = 2 * a + b
+    pairs: list[tuple[int, int]] = []
+    for i in range(n):
+        mer = i * m  # first edge of meridian i + 1
+        prev = (i - 1) % n * m  # first edge of the meridian before it
+        arc = n * m + i * c  # first edge of arc i + 1
+        pairs += [(mer + j, prev + j + a) for j in range(a + b)]
+        path = [*range(prev, prev + a), *range(arc, arc + c), *range(mer + a + b, mer + m)]
+        pairs += zip(path, path[a:])
     return pairs
 
 
 def edge_partition_from_pairs(
-    edges: Sequence[Edge], pairs: Iterable[tuple[Edge, Edge]]
-) -> dict[Edge, tuple[int, int]]:
-    """Edge -> (class index, parity) from orientation-preserving pairs,
-    with classes indexed by first appearance in the given edge order.
-    Comparable to GluedDiagram.edge_location when fed the same edge list.
+    num_edges: int, pairs: Iterable[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """(class index, parity) of each edge id in range(num_edges), from
+    orientation-preserving pairs, with classes indexed by first appearance
+    in id order: comparable to `GluedDiagram.edge_location`.
     """
-    index = {e: k for k, e in enumerate(edges)}
-    dsu = _ParityDSU(len(edges))
+    dsu = _ParityDSU(num_edges)
     for u, v in pairs:  # parity 0 throughout, so no union can contradict
-        dsu.union(index[u], index[v])
-    return dict(zip(edges, dsu.locate(range(len(edges)))))
+        dsu.union(u, v)
+    return dsu.locate(range(num_edges))
 
 
 def check_seifert_diagram(cover: CoveredKnot, w: FreeWord) -> tuple[GluedDiagram, bool]:

@@ -128,7 +128,11 @@ def _single_band(k: KnotParams, trace: Trace) -> tuple[tuple[int, int], Trace]:
 
 def _reduce_aligned(k: KnotParams, trace: Trace) -> tuple[tuple[int, int], Trace]:
     """Twist residue a: move III shrinks the outer and crossing bands into
-    the middle one strand at a time, min(a, c) times while b > 0."""
+    the middle one strand at a time, min(a, c) times while b > 0.
+
+    "Aligned" here names the residue, not verify's aligned branch p >= 2q:
+    that branch has residue a + c, which `_reduce_crossed` reduces (only at
+    p = 2q, where c = 0, does it land here)."""
     runs = min(k.a, k.c) if k.b else 0
     if runs:
         a = k.a - runs
@@ -144,7 +148,8 @@ def _reduce_aligned(k: KnotParams, trace: Trace) -> tuple[tuple[int, int], Trace
 
 def _reduce_crossed(k: KnotParams, trace: Trace) -> tuple[tuple[int, int], Trace]:
     """Twist residue a + c: move IV cancels each crossing strand against a
-    middle one, c times in all."""
+    middle one, c times in all. This is the residue of verify's aligned
+    branch p >= 2q (shift 0) whenever c > 0."""
     if k.c > k.b:
         k = swap(k)
         trace.append(("swap", 1, k))

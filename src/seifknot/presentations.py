@@ -199,6 +199,11 @@ class BudgetExceeded(RuntimeError):
     """Worst-case enumeration size exceeds the allowed budget."""
 
 
+# worst-case candidate assignments `count_homomorphisms` enumerates unless
+# told otherwise
+DEFAULT_BUDGET = 10_000_000
+
+
 def symmetric_group(m: int) -> list[tuple[int, ...]]:
     """All permutations of 0..m-1 as image tuples; composition is
     (p * q)[i] = p[q[i]]."""
@@ -208,7 +213,7 @@ def symmetric_group(m: int) -> list[tuple[int, ...]]:
 def count_homomorphisms(
     pres: Presentation,
     elements: Sequence[tuple[int, ...]],
-    budget: int = 10_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Number of homomorphisms from the presented group to the permutation
     group given by `elements` (which must be closed under composition and

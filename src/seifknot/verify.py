@@ -46,6 +46,7 @@ from .knots11 import (
 )
 from .presentations import (
     BudgetExceeded,
+    DEFAULT_BUDGET,
     count_homomorphisms,
     cyclic_presentation,
     seifert_cyclic_presentation,
@@ -54,8 +55,6 @@ from .presentations import (
     symmetric_group,
     tietze_witnesses,
 )
-
-DEFAULT_BUDGET = 10_000_000
 
 # (n_max, p_max, l_max) of the acceptance gate and of verify-all's defaults
 GATE_GRID = (6, 7, 3)
@@ -323,7 +322,10 @@ def _diagram_at(at: _GridPoint) -> str | None:
 
 def _identification_at(at: _GridPoint) -> str | None:
     """On the aligned branch p >= 2q, the glued edge identifications are
-    exactly the two closed-form families, orientations included."""
+    exactly the two closed-form families, orientations included. This
+    branch (shift 0) has twist residue a + c, which
+    `knots11._reduce_crossed` reduces, not `_reduce_aligned` (except at
+    p = 2q, where c = 0)."""
     point = at.point
     if point[1] < 2 * point[2]:
         return None
@@ -332,9 +334,11 @@ def _identification_at(at: _GridPoint) -> str | None:
     if params.s != 0 or params.r != params.a + params.c:
         return f"unexpected gluing data {params} at {point}"
     pairs = expected_identifications(params.a, params.b, params.c, params.n)
-    if len(pairs) != params.n * diagram.tessellation.cycle_length:
+    location = diagram.edge_location
+    # one pair per boundary slot; there are as many slots as edges
+    if len(pairs) != len(location):
         return f"rule count off at {point}"
-    if edge_partition_from_pairs(diagram.tessellation.edges, pairs) != diagram.edge_location:
+    if edge_partition_from_pairs(len(location), pairs) != location:
         return f"identification mismatch at {point}"
     return None
 

@@ -83,6 +83,31 @@ def test_deeply_nested_json_is_rejected(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: JSON nested too deeply\n")
 
 
+@pytest.mark.parametrize("depth", [cli.MAX_JSON_DEPTH + 1, 980])
+def test_json_nesting_cap_does_not_depend_on_the_interpreter(tmp_path, depth):
+    # a fresh process has a shallow stack, so the parser itself may accept
+    # the nesting; the cap refuses it whatever the Python version
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    proc = subprocess.run(
+        [sys.executable, "-m", "seifknot.cli", "homology", "matrix", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: JSON nested too deeply\n"
+
+
+def test_json_at_the_nesting_cap_is_read(tmp_path, capsys):
+    # the entry is read and rejected, so the cap let the file through
+    depth = cli.MAX_JSON_DEPTH
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "1" + "]" * depth)
+    code, out, err = run_cli(capsys, "homology", "matrix", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: matrix entry [[[") and len(err) < 100
+
+
 def test_homology_matrix_rejects_bad_file(tmp_path, capsys):
     path = tmp_path / "mat.json"
     path.write_text("[]")
@@ -98,10 +123,11 @@ def test_homology_matrix_rejects_bad_file(tmp_path, capsys):
         ([[1.5, 2], [3, 4]], "1.5"),
         ([[True, 2], [3, 4]], "true"),
         ([[1, 2], [3, "4"]], '"4"'),
+        ([[1, 2], [[3], 4]], "matrix entry [3] is not"),
         ([1, 2], "list of matrix rows"),
         ([[1, 2], [3]], "ragged"),
     ],
-    ids=["float", "bool", "string", "flat", "ragged"],
+    ids=["float", "bool", "string", "list", "flat", "ragged"],
 )
 def test_homology_matrix_rejects_non_integer_entries(tmp_path, capsys, rows, bad):
     path = tmp_path / "mat.json"
@@ -109,6 +135,15 @@ def test_homology_matrix_rejects_non_integer_entries(tmp_path, capsys, rows, bad
     code, out, err = run_cli(capsys, "homology", "matrix", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and bad in err
+
+
+def test_rejected_long_string_entry_is_quoted_in_part(tmp_path, capsys):
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps([["a" * 1_000_000, 1]]))
+    code, out, err = run_cli(capsys, "homology", "matrix", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith('error: matrix entry "aaa') and err.count("\n") == 1
+    assert len(err) < 100
 
 
 def test_knot_from_seifert(capsys):

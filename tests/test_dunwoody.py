@@ -9,7 +9,6 @@ from seifknot.dunwoody import (
     _ParityDSU,
     GluedDiagram,
     GluingError,
-    Tessellation,
     check_seifert_diagram,
     edge_partition_from_pairs,
     expected_identifications,
@@ -24,51 +23,51 @@ GATE_GRID_DIGEST = "4e0a534d655044784237c94e7735a58cd435cef26d67876f96db27084f31
 RAW_SWEEP_DIGEST = "f19a467498c280048057a8239b5d76f4571a69409e7e46169575c7c55a7b5758"
 
 
-def test_tessellation_counts():
+def test_sphere_counts():
+    # (V, E, F) of the tessellated sphere before the gluing
     cases = {
-        (1, 1, 0, 3): (5, 9, 6),
-        (1, 1, 4, 2): (12, 14, 4),
-        (2, 2, 1, 3): (17, 21, 6),
-        (0, 1, 1, 2): (2, 4, 4),
+        (1, 1, 0, 3, 1, 0): (5, 9, 6),
+        (1, 1, 4, 2, 1, 1): (12, 14, 4),
+        (2, 2, 1, 3, 3, 0): (17, 21, 6),
+        (0, 1, 1, 2, 1, 0): (2, 4, 4),
     }
-    for (a, b, c, n), (v, e, f) in cases.items():
-        tess = Tessellation(a, b, c, n)
-        assert (tess.num_vertices, tess.num_edges, 2 * n) == (v, e, f)
-        assert tess.num_vertices - tess.num_edges + 2 * n == 2
-        assert tess.num_vertices == 2 + n * (2 * a + b + c - 2)
+    for params, (v, e, f) in cases.items():
+        a, b, c, n = params[:4]
+        diagram = GluedDiagram(DiagramParams(*params))
+        vertices = len(set(diagram._tail + diagram._head))
+        edges = len(diagram.edges)
+        assert (vertices, edges, 2 * n) == (v, e, f)
+        assert len(diagram._tail) == len(diagram._head) == len(diagram.edge_location) == edges
+        assert vertices - edges + 2 * n == 2
+        assert vertices == 2 + n * (2 * a + b + c - 2)
 
 
-def test_tessellation_validation():
-    with pytest.raises(ValueError):
-        Tessellation(-1, 1, 1, 2)
-    with pytest.raises(ValueError):
-        Tessellation(0, 0, 1, 2)  # meridians need an edge
-    with pytest.raises(ValueError):
-        Tessellation(0, 0, 0, 1)
+def test_non_sphere_strand_counts_are_rejected():
     # vertex identifications that collapse the sphere
-    with pytest.raises(ValueError):
-        Tessellation(1, 0, 0, 1)
-    with pytest.raises(ValueError):
-        Tessellation(0, 1, 0, 2)
-    Tessellation(0, 1, 0, 1)  # the one-loop tessellation is fine
+    for params in [(1, 0, 0, 1, 0, 0), (0, 1, 0, 2, 0, 0)]:
+        with pytest.raises(ValueError, match="do not tessellate a sphere"):
+            GluedDiagram(DiagramParams(*params))
+    # the one-loop tessellation is fine
+    assert GluedDiagram(DiagramParams(0, 1, 0, 1, 0, 0)).counts() == (1, 1, 1, 1)
 
 
 def test_boundary_cycles_cover_each_edge_twice():
-    tess = Tessellation(2, 1, 3, 2)
+    diagram = GluedDiagram(DiagramParams(2, 1, 3, 2, 5, 0))
     slots = Counter()
     for i in range(2):
-        for edge in tess._upper[i] + tess._lower[i]:
+        for edge in diagram._upper[i] + diagram._lower[i]:
             slots[edge] += 1
-    assert len(slots) == tess.num_edges
+    assert len(slots) == len(diagram.edges)
     assert set(slots.values()) == {2}
 
 
 def test_boundary_cycle_length():
-    tess = Tessellation(2, 2, 1, 3)
-    assert len(tess._up_signs) == len(tess._low_signs) == tess.cycle_length
+    diagram = GluedDiagram(DiagramParams(2, 2, 1, 3, 3, 0))
+    length = 2 * 2 + 2 + 1
+    assert len(diagram._up_signs) == len(diagram._low_signs) == length
     for i in range(3):
-        for face in (tess._upper[i], tess._lower[i]):
-            assert len(face) == tess.cycle_length
+        for face in (diagram._upper[i], diagram._lower[i]):
+            assert len(face) == length
 
 
 def test_glued_diagram_pinned_counts():
@@ -145,9 +144,50 @@ def test_expected_identifications_match_gluing():
         params = diagram.params
         assert params.s == 0  # the rules cover the unshifted family
         pairs = expected_identifications(params.a, params.b, params.c, params.n)
-        assert len(pairs) == params.n * diagram.tessellation.cycle_length
-        rebuilt = edge_partition_from_pairs(diagram.tessellation.edges, pairs)
+        assert len(pairs) == params.n * (2 * params.a + params.b + params.c)
+        rebuilt = edge_partition_from_pairs(len(diagram.edges), pairs)
         assert rebuilt == diagram.edge_location
+
+
+@pytest.mark.parametrize(
+    "params,named",
+    [
+        (
+            (1, 1, 1, 2, 2, 0),
+            [
+                (("m", 1, 1), ("m", 2, 2)),
+                (("m", 1, 2), ("m", 2, 3)),
+                (("m", 2, 1), ("a", 1, 1)),
+                (("a", 1, 1), ("m", 1, 3)),
+                (("m", 2, 1), ("m", 1, 2)),
+                (("m", 2, 2), ("m", 1, 3)),
+                (("m", 1, 1), ("a", 2, 1)),
+                (("a", 2, 1), ("m", 2, 3)),
+            ],
+        ),
+        (
+            (2, 0, 1, 2, 3, 0),
+            [
+                (("m", 1, 1), ("m", 2, 3)),
+                (("m", 1, 2), ("m", 2, 4)),
+                (("m", 2, 1), ("a", 1, 1)),
+                (("m", 2, 2), ("m", 1, 3)),
+                (("a", 1, 1), ("m", 1, 4)),
+                (("m", 2, 1), ("m", 1, 3)),
+                (("m", 2, 2), ("m", 1, 4)),
+                (("m", 1, 1), ("a", 2, 1)),
+                (("m", 1, 2), ("m", 2, 3)),
+                (("a", 2, 1), ("m", 2, 4)),
+            ],
+        ),
+    ],
+)
+def test_expected_identifications_are_pinned(params, named):
+    # the id pairs, named through `edges`, are the (kind, i, j) pairs the
+    # rules gave when they were written in edge names
+    edges = GluedDiagram(DiagramParams(*params)).edges
+    pairs = expected_identifications(*params[:4])
+    assert [(edges[u], edges[v]) for u, v in pairs] == named
 
 
 def test_expected_identifications_need_outer_strands():
@@ -156,6 +196,12 @@ def test_expected_identifications_need_outer_strands():
 
 
 def test_diagram_params_validation():
+    with pytest.raises(ValueError):
+        DiagramParams(-1, 1, 1, 2, 0, 0)
+    with pytest.raises(ValueError):
+        DiagramParams(0, 0, 1, 2, 0, 0)  # meridians need an edge
+    with pytest.raises(ValueError):
+        DiagramParams(0, 0, 0, 1, 0, 0)
     with pytest.raises(ValueError):
         DiagramParams(1, 1, 0, 3, 1, 2)  # shift flag is 0 or 1
     with pytest.raises(ValueError):
@@ -214,7 +260,8 @@ def _diagram_digest(param_list):
             words = [str(w) for w in diagram.read_off_words()]
         except GluingError:
             words = "GluingError"
-        record = (list(diagram.edge_location.items()), diagram.vertex_class_count, words)
+        location = list(zip(diagram.edges, diagram.edge_location))
+        record = (location, diagram.vertex_class_count, words)
         digest.update(f"{params} {record}\n".encode())
     return digest.hexdigest()
 
