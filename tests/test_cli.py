@@ -124,10 +124,11 @@ def test_homology_matrix_rejects_bad_file(tmp_path, capsys):
         ([[True, 2], [3, 4]], "true"),
         ([[1, 2], [3, "4"]], '"4"'),
         ([[1, 2], [[3], 4]], "matrix entry [3] is not"),
+        ([["a" * 1_000_000, 2]], 'matrix entry "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa... is not'),
         ([1, 2], "list of matrix rows"),
         ([[1, 2], [3]], "ragged"),
     ],
-    ids=["float", "bool", "string", "list", "flat", "ragged"],
+    ids=["float", "bool", "string", "list", "long-string", "flat", "ragged"],
 )
 def test_homology_matrix_rejects_non_integer_entries(tmp_path, capsys, rows, bad):
     path = tmp_path / "mat.json"
@@ -135,15 +136,7 @@ def test_homology_matrix_rejects_non_integer_entries(tmp_path, capsys, rows, bad
     code, out, err = run_cli(capsys, "homology", "matrix", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and bad in err
-
-
-def test_rejected_long_string_entry_is_quoted_in_part(tmp_path, capsys):
-    path = tmp_path / "mat.json"
-    path.write_text(json.dumps([["a" * 1_000_000, 1]]))
-    code, out, err = run_cli(capsys, "homology", "matrix", str(path))
-    assert code == 1 and out == ""
-    assert err.startswith('error: matrix entry "aaa') and err.count("\n") == 1
-    assert len(err) < 100
+    assert err.count("\n") == 1 and len(err) < 100
 
 
 def test_knot_from_seifert(capsys):
