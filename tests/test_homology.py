@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 from math import prod
@@ -105,6 +106,54 @@ def test_snf_random_certificates():
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         d, u, v = smith_normal_form(mat)
         assert verify_snf_certificate(mat, d, u, v)
+
+
+def _smith_digest(matrices):
+    """sha256 over each matrix's Smith form (d, u, v) and its cokernel."""
+    digest = hashlib.sha256()
+    for mat in matrices:
+        cols = len(mat[0]) if mat else 3
+        record = (smith_normal_form(mat), cokernel(mat, cols))
+        digest.update(f"{mat} {record}\n".encode())
+    return digest.hexdigest()
+
+
+# digests recorded with the elimination that updated u and v beside every
+# row and column operation; the bordered elimination must reproduce them
+GATE_GRID_SMITH_DIGEST = "c78e2e82a6c3c65e21646916e0d22b84a1ff0bcc79ae4b38af238dae3530e86f"
+RANDOM_SMITH_DIGEST = "e9312888726f4770c40a30a69fb7e679a7b3c24e721ce09c410bbf8f12deeb82"
+
+
+def test_gate_grid_smith_forms_are_pinned():
+    matrices = []
+    for point in seifert_parameter_grid(*GATE_GRID):
+        for build in (seifert_cyclic_presentation, standard_seifert_presentation):
+            matrices.append(build(*point).relation_matrix())
+    assert len(matrices) == 476
+    assert _smith_digest(matrices) == GATE_GRID_SMITH_DIGEST
+    for mat in matrices:
+        assert verify_snf_certificate(mat, *smith_normal_form(mat)), mat
+
+
+def test_random_smith_forms_are_pinned():
+    # drawn as check_property_suite draws its matrices, up to 6 x 6, with
+    # zero and repeated rows; then the empty and one-row/one-column shapes
+    rng = random.Random(2024)
+    matrices = []
+    for _ in range(2000):
+        rows = rng.randint(0, 6)
+        cols = rng.randint(0, 6)
+        mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if rows and cols and rng.random() < 0.3:
+            mat[rng.randrange(rows)] = [0] * cols
+        if rows >= 2 and rng.random() < 0.3:
+            mat[rng.randrange(rows)] = list(mat[rng.randrange(rows)])
+        matrices.append(mat)
+    matrices += [[], [[]], [[]] * 3]
+    for size in range(1, 9):
+        row = [rng.randint(-30, 30) for _ in range(size)]
+        matrices += [[row], [[x] for x in row], [[0] * size], [[0]] * size]
+    assert _smith_digest(matrices) == RANDOM_SMITH_DIGEST
 
 
 def test_abelian_group_strings_and_orders():
