@@ -33,7 +33,6 @@ from .foxcalc import (
 )
 from .freegroup import (
     FreeWord,
-    commutator,
     format_word,
     generator,
     identity,
@@ -100,7 +99,6 @@ __all__ = [
     "circulant_order",
     "coincident_seifert_params",
     "cokernel",
-    "commutator",
     "count_homomorphisms",
     "cyclic_presentation",
     "example_knot_presentation",

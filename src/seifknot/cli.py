@@ -108,7 +108,7 @@ def _group_line(group) -> str:
 # cyclic presentation has n relators of n*l syllables each, the standard
 # one at most 7n + 8 syllables in all; its relation matrix is n x n
 # (cyclic) or (2n + 3) x (n + 2) (standard). At the syllable cap a command
-# takes about a second, at the cell cap about 10 s (2-vCPU Xeon).
+# takes about a second, at the cell cap 4 to 8 s (2-vCPU Xeon).
 MAX_RELATOR_SYLLABLES = 300_000
 MAX_MATRIX_CELLS = 200_000
 

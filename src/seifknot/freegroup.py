@@ -149,11 +149,6 @@ def identity(n: int) -> FreeWord:
     return FreeWord(n)
 
 
-def commutator(a: FreeWord, b: FreeWord) -> FreeWord:
-    """[a, b] = a^-1 b^-1 a b."""
-    return a.inverse() * b.inverse() * a * b
-
-
 def seifert_word(n: int, p: int, q: int, l: int) -> FreeWord:
     """Defining word (x1^q x2^q ... xn^q)^l xn^-p of the cyclic presentation
     attached to the parameters (n, p, q, l).

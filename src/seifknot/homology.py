@@ -1,9 +1,10 @@
 """Exact integer linear algebra for abelianized group presentations.
 
-Everything here runs over Z with arbitrary precision: Smith normal form
-with unimodular certificates, a fraction-free determinant that re-verifies
+Everything here runs over Z with arbitrary precision: Smith normal form,
+whose unimodular certificates come from identities appended to the matrix
+(a cokernel builds none); a fraction-free determinant that re-verifies
 those certificates (and, over Z[t, 1/t], takes the Alexander minors of
-`foxcalc`), and integer polynomials as coefficient lists: the gcd
+`foxcalc`); and integer polynomials as coefficient lists: the gcd
 that the Alexander polynomial needs, and resultants for the circulant
 shortcut that computes the abelianization order of a cyclic presentation
 straight from the exponent vector of its defining word.
@@ -38,10 +39,6 @@ def _copy_matrix(mat: Sequence[Sequence[int]]) -> Matrix:
         if any(len(r) != width for r in rows):
             raise ValueError("ragged matrix")
     return rows
-
-
-def _identity_matrix(n: int) -> Matrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def matrix_multiply(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -81,11 +78,11 @@ def fraction_free_determinant(mat: Sequence[Sequence[Any]]) -> Any:
                     break
             else:
                 return a[k][k]  # the domain's zero
-        pivot, pivot_row = a[k][k], a[k]
+        pivot, top = a[k][k], a[k]
         for row in a[k + 1 :]:
             head = row[k]
             for j in range(k + 1, n):
-                cross = row[j] * pivot - head * pivot_row[j]
+                cross = row[j] * pivot - head * top[j]
                 row[j] = cross if prev is None else cross // prev
         prev = pivot
     det = a[n - 1][n - 1]
@@ -99,33 +96,14 @@ def bareiss_determinant(mat: Sequence[Sequence[int]]) -> int:
     return fraction_free_determinant(a) if a else 1
 
 
-def smith_normal_form(
-    mat: Sequence[Sequence[int]],
-) -> tuple[Matrix, Matrix, Matrix]:
-    """Diagonalize an integer matrix: returns (d, u, v) with u*mat*v = d,
-    u and v unimodular, d diagonal with non-negative entries in a
-    divisibility chain and zeros trailing.
+def _diagonalize(a: Matrix, m: int, n: int) -> None:
+    """Bring the leading m x n block of a to Smith normal form in place.
 
-    Pivot selection always takes a smallest-magnitude nonzero entry of the
-    working submatrix, which keeps intermediate entries tame without any
-    randomization.
+    Row operations act on whole rows and column operations on every row,
+    so entries right of or below the block record them. Each pivot is a
+    smallest nonzero entry of the working submatrix, which keeps entries
+    tame without any randomization.
     """
-    a = _copy_matrix(mat)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = _identity_matrix(m)
-    v = _identity_matrix(n)
-
-    def row_add(src: int, dst: int, c: int) -> None:
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def col_add(src: int, dst: int, c: int) -> None:
-        for r in a:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
     k = 0
     while k < min(m, n):
         best: tuple[int, int] | None = None
@@ -140,42 +118,57 @@ def smith_normal_form(
         bi, bj = best
         if bi != k:
             a[k], a[bi] = a[bi], a[k]
-            u[k], u[bi] = u[bi], u[k]
         if bj != k:
             for r in a:
                 r[k], r[bj] = r[bj], r[k]
-            for r in v:
-                r[k], r[bj] = r[bj], r[k]
-        pivot = a[k][k]
+        top = a[k]
+        pivot = top[k]
         dirty = False
         for i in range(k + 1, m):
             if a[i][k]:
-                row_add(k, i, -(a[i][k] // pivot))
+                c = a[i][k] // pivot
+                a[i] = [x - c * y for x, y in zip(a[i], top)]
                 if a[i][k]:
                     dirty = True
         for j in range(k + 1, n):
-            if a[k][j]:
-                col_add(k, j, -(a[k][j] // pivot))
-                if a[k][j]:
+            if top[j]:
+                c = top[j] // pivot
+                for r in a:
+                    r[j] -= c * r[k]
+                if top[j]:
                     dirty = True
         if dirty:
             continue
-        stray = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if a[i][j] % pivot:
-                    stray = i
-                    break
-            if stray is not None:
-                break
+        stray = next(
+            (i for i in range(k + 1, m) for j in range(k + 1, n) if a[i][j] % pivot),
+            None,
+        )
         if stray is not None:
-            row_add(stray, k, 1)
+            a[k] = [x + y for x, y in zip(top, a[stray])]
             continue
-        if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
+        if pivot < 0:
+            a[k] = [-x for x in top]
         k += 1
-    return a, u, v
+
+
+def smith_normal_form(
+    mat: Sequence[Sequence[int]],
+) -> tuple[Matrix, Matrix, Matrix]:
+    """Diagonalize an integer matrix: returns (d, u, v) with u*mat*v = d,
+    u and v unimodular, d diagonal with non-negative entries in a
+    divisibility chain and zeros trailing.
+
+    Eliminating mat in the bordered matrix [[mat, I_m], [I_n]] turns I_m
+    into u and I_n into v.
+    """
+    a = _copy_matrix(mat)
+    m = len(a)
+    n = len(a[0]) if m else 0
+    for i, row in enumerate(a):
+        row += [int(i == j) for j in range(m)]
+    a += [[int(i == j) for j in range(n)] for i in range(n)]
+    _diagonalize(a, m, n)
+    return [r[:n] for r in a[:m]], [r[n:] for r in a[:m]], a[m:]
 
 
 def verify_snf_certificate(
@@ -267,8 +260,8 @@ def cokernel(rows: Sequence[Sequence[int]], num_columns: int) -> AbelianGroup:
         raise ValueError("row width does not match column count")
     if not rows:
         return AbelianGroup(num_columns)
-    d, _, _ = smith_normal_form(rows)
-    diag = [d[i][i] for i in range(min(len(rows), num_columns))]
+    _diagonalize(rows, len(rows), num_columns)
+    diag = [rows[i][i] for i in range(min(len(rows), num_columns))]
     nonzero = [x for x in diag if x]
     return AbelianGroup(num_columns - len(nonzero), tuple(x for x in nonzero if x > 1))
 

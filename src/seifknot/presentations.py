@@ -1,5 +1,6 @@
 """Finite group presentations, cyclic presentations, and the presentations
-attached to Seifert fibered spaces over S^2 with three exceptional fibers.
+attached to the Seifert fibered spaces {Oo,0 | -1; (p,q) x n, (l,l-1)}: n
+fibers of type (p, q) and one of type (l, l-1), exceptional when l >= 2.
 
 Two presentations of the same fundamental group appear throughout:
 
@@ -21,7 +22,6 @@ from typing import Any, Sequence
 
 from .freegroup import (
     FreeWord,
-    commutator,
     format_word,
     generator,
     identity,
@@ -95,8 +95,9 @@ def cyclic_presentation(w: FreeWord) -> Presentation:
 
 
 def validate_seifert_params(n: int, p: int, q: int, l: int) -> None:
-    """Parameter constraints for the three-fiber Seifert family: n >= 2
-    meridian indices, coprime 1 <= q < p, l >= 1 and l >= 2 when n = 2.
+    """Parameter constraints for the Seifert family with n fibers of type
+    (p, q) and one of type (l, l-1): n >= 2 meridian indices, coprime
+    1 <= q < p, l >= 1 and l >= 2 when n = 2.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -118,25 +119,17 @@ def standard_seifert_presentation(n: int, p: int, q: int, l: int) -> Presentatio
     """The (n+2)-generator presentation of the same fundamental group: one
     generator per exceptional-fiber meridian (y1..yn all of type (p, q)),
     one extra fiber of type (l, l-1), and the central fiber class h.
+    Relators: [yi, h] = yi^-1 h^-1 yi h, [y, h], yi^p h^q, y^l h^(l-1)
+    and y1 ... yn y h.
     """
     validate_seifert_params(n, p, q, l)
-    total = n + 2
+    h = total = n + 2
     names = tuple(f"y{i}" for i in range(1, n + 1)) + ("y", "h")
-    y = [generator(total, i) for i in range(1, n + 1)]
-    extra = generator(total, n + 1)
-    h = generator(total, n + 2)
-    relators: list[FreeWord] = []
-    for i in range(n):
-        relators.append(commutator(y[i], h))
-    relators.append(commutator(extra, h))
-    for i in range(n):
-        relators.append(y[i] ** p * h**q)
-    relators.append(extra**l * h ** (l - 1))
-    surface = identity(total)
-    for i in range(n):
-        surface = surface * y[i]
-    relators.append(surface * extra * h)
-    return Presentation(names, tuple(relators))
+    syllables = [[(i, -1), (h, -1), (i, 1), (h, 1)] for i in range(1, n + 2)]
+    syllables += [[(i, p), (h, q)] for i in range(1, n + 1)]
+    syllables.append([(n + 1, l), (h, l - 1)])
+    syllables.append([(i, 1) for i in range(1, n + 2)] + [(h, 1)])
+    return Presentation(names, tuple(FreeWord(total, s) for s in syllables))
 
 
 def tietze_witnesses(

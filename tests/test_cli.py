@@ -490,6 +490,25 @@ def test_module_runs_as_subprocess():
     assert json.loads(proc.stdout) == {"rank": 0, "torsion": [15]}
 
 
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["--json", "knot", "ambient", "3", "4", "4", "3"], 0, "out", '"name": "L(8,1)"'),
+        (["knot", "reduce", "0", "0", "0", "0"], 1, "err", "error: need at least one strand"),
+        (["frobnicate"], 2, "err", "invalid choice: 'frobnicate'"),
+    ],
+    ids=["ok", "rejected", "usage"],
+)
+def test_console_script_exit_codes(monkeypatch, capsys, argv, code, stream, text):
+    # `entrypoint` is the `seifknot` console script pyproject.toml declares
+    monkeypatch.setattr(sys, "argv", ["seifknot", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert text in (captured.out if stream == "out" else captured.err)
+
+
 def test_a_fresh_import_frees_the_old_package():
     # a module-level typing alias naming one of the package's classes sits
     # in typing's cache and would keep each import's classes alive

@@ -4,7 +4,6 @@ import pytest
 
 from seifknot.freegroup import (
     FreeWord,
-    commutator,
     format_word,
     generator,
     identity,
@@ -75,8 +74,10 @@ def test_conjugate_and_commutator():
     g = generator(2, 1, 1)
     h = generator(2, 2, 1)
     assert g.inverse() * h * g == w("x1^-1 x2 x1", 2)
-    assert commutator(g, h) == w("x1^-1 x2^-1 x1 x2", 2)
-    assert commutator(g, g).is_identity()
+    # the commutator [g, h] = g^-1 h^-1 g h, as the standard presentation
+    # writes its relators [yi, h] and [y, h]
+    assert g.inverse() * h.inverse() * g * h == w("x1^-1 x2^-1 x1 x2", 2)
+    assert (g.inverse() * g.inverse() * g * g).is_identity()
 
 
 def test_seifert_word_small_cases():

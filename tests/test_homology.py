@@ -118,8 +118,7 @@ def _smith_digest(matrices):
     return digest.hexdigest()
 
 
-# digests recorded with the elimination that updated u and v beside every
-# row and column operation; the bordered elimination must reproduce them
+# digests recorded before the elimination was bordered with identities
 GATE_GRID_SMITH_DIGEST = "c78e2e82a6c3c65e21646916e0d22b84a1ff0bcc79ae4b38af238dae3530e86f"
 RANDOM_SMITH_DIGEST = "e9312888726f4770c40a30a69fb7e679a7b3c24e721ce09c410bbf8f12deeb82"
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from seifknot.freegroup import FreeWord, parse_word, seifert_word
+from seifknot.freegroup import FreeWord, generator, identity, parse_word, seifert_word
 from seifknot.presentations import (
     BudgetExceeded,
     Presentation,
@@ -64,6 +64,24 @@ def test_standard_presentation_shape():
     pres = standard_seifert_presentation(3, 2, 1, 1)
     assert pres.generators == ("y1", "y2", "y3", "y", "h")
     assert len(pres.relators) == 2 * 3 + 3
+
+
+def test_standard_relators_match_their_composed_words():
+    # the relators are written from their syllables; composing them from
+    # generators by the group operations gives the same reduced words
+    for n, p, q, l in seifert_parameter_grid(5, 7, 3) + [(9, 11, 4, 1)]:
+        total = n + 2
+        y = [generator(total, i) for i in range(1, n + 2)]
+        h = generator(total, total)
+        composed = [a.inverse() * h.inverse() * a * h for a in y]
+        composed += [y[i] ** p * h**q for i in range(n)]
+        composed.append(y[n] ** l * h ** (l - 1))
+        surface = identity(total)
+        for a in y:
+            surface = surface * a
+        composed.append(surface * h)
+        pres = standard_seifert_presentation(n, p, q, l)
+        assert pres.relators == tuple(composed), (n, p, q, l)
 
 
 def test_parameter_grid():
