@@ -46,6 +46,7 @@ from .homology import (
     cokernel,
     first_homology,
     resultant,
+    seifert_h1,
     smith_normal_form,
     verify_snf_certificate,
 )
@@ -119,6 +120,7 @@ __all__ = [
     "resultant",
     "run_all",
     "seifert_cyclic_presentation",
+    "seifert_h1",
     "seifert_parameter_grid",
     "seifert_word",
     "smith_normal_form",

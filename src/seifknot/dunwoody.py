@@ -22,18 +22,17 @@ the identifications that degenerate strand counts force. Each face
 boundary is stored once as a list of edge ids, with one traversal-sign
 pattern for every upper face and its negative for every lower one; a
 slot's end vertices are read from its edge's tail and head. The gluing
-runs a list-backed union-find over those ids, and the identification
-rules (`expected_identifications`, `edge_partition_from_pairs`) speak the
-same ids. The tuple names (`GluedDiagram.edges`,
-`GluedDiagram.edge_classes`, the text of a `GluingError`) are built only
-for output.
+runs a list-backed union-find over the slot pairs of those ids, and the
+identification rules (`expected_identifications`) speak the same ids.
+The tuple names (`GluedDiagram.edges`, `GluedDiagram.edge_classes`, the
+text of a `GluingError`) are built only for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterator
 
 from .freegroup import FreeWord
 from .knots11 import CoveredKnot
@@ -110,16 +109,15 @@ class _ParityDSU:
         parity[ry] = px ^ rel ^ py
         self.classes -= 1
 
-    def locate(self, order: Iterable[int]) -> list[tuple[int, int]]:
-        """(class index, parity) of each element of the given order:
-        classes are indexed by first appearance in that order, and
-        parities are re-anchored to the first element of each class so the
-        orientation baseline is stable.
+    def locate(self) -> list[tuple[int, int]]:
+        """(class index, parity) of each element in turn: classes are
+        indexed by first appearance, and parities are re-anchored to the
+        first element of each class so the orientation baseline is stable.
         """
         index: dict[int, int] = {}
         anchor_parity: list[int] = []
         location: list[tuple[int, int]] = []
-        for x in order:
+        for x in range(len(self.parent)):
             root, par = self.find(x)
             idx = index.get(root)
             if idx is None:
@@ -202,7 +200,7 @@ class GluedDiagram:
             merged = _ParityDSU(len(vertex_of))
             for i in range(n):
                 merged.union(*arc_ends(i))
-            vertex_of = [k for k, _ in merged.locate(vertex_of)]
+            vertex_of = [k for k, _ in merged.locate()]
         num_vertices = max(vertex_of) + 1
 
         self._tail: list[int] = []
@@ -272,31 +270,39 @@ class GluedDiagram:
                 if at != base:
                     raise AssertionError("boundary cycle does not close")
 
-    def _glue(self, num_vertices: int) -> None:
-        """Pair each upper face with its lower partner, merging edges (with
-        their relative orientation) and vertices."""
+    def _slots(self) -> Iterator[tuple[int, int, int, int]]:
+        """Each boundary slot of the face pairing as (u, v, eps, delta):
+        upper edge u, the lower edge v glued to it, and their traversal
+        signs, so u and v are glued against their orientations exactly
+        when eps == delta. The gluing unions these pairs and
+        identification-rules compares them with the closed-form ones."""
         n, r, s = self.params.n, self.params.r, self.params.s
-        tail, head = self._tail, self._head
-        edge_dsu = _ParityDSU(len(tail))
-        vertex_dsu = _ParityDSU(num_vertices)
-        join_edges, join_vertices = edge_dsu.union, vertex_dsu.union
         # slot x of upper face j meets slot (r - 1 - x) mod L of its lower
         # partner, read backwards from a start the twist sets; so the start
         # of slot x meets the end of the partner slot
         low_signs = _backwards(self._low_signs, r - 1)
+        for j in range(n):
+            yield from zip(
+                self._upper[j],
+                _backwards(self._lower[(j + s) % n], r - 1),
+                self._up_signs,
+                low_signs,
+            )
+
+    def _glue(self, num_vertices: int) -> None:
+        """Pair each upper face with its lower partner, merging edges (with
+        their relative orientation) and vertices."""
+        tail, head = self._tail, self._head
+        edge_dsu = _ParityDSU(len(tail))
+        vertex_dsu = _ParityDSU(num_vertices)
+        join_edges, join_vertices = edge_dsu.union, vertex_dsu.union
         try:
-            for j in range(n):
-                for u, v, eps, delta in zip(
-                    self._upper[j],
-                    _backwards(self._lower[(j + s) % n], r - 1),
-                    self._up_signs,
-                    low_signs,
-                ):
-                    join_edges(u, v, eps == delta)
-                    join_vertices(
-                        tail[u] if eps > 0 else head[u],
-                        head[v] if delta > 0 else tail[v],
-                    )
+            for u, v, eps, delta in self._slots():
+                join_edges(u, v, eps == delta)
+                join_vertices(
+                    tail[u] if eps > 0 else head[u],
+                    head[v] if delta > 0 else tail[v],
+                )
         except GluingError:
             raise GluingError(
                 f"edge {self.edges[u]} is forced to match its own reverse "
@@ -305,7 +311,7 @@ class GluedDiagram:
 
         self.vertex_class_count = vertex_dsu.classes
         self._edge_class_count = edge_dsu.classes
-        self.edge_location = edge_dsu.locate(range(len(tail)))
+        self.edge_location = edge_dsu.locate()
 
     @cached_property
     def edges(self) -> list[Edge]:
@@ -395,19 +401,6 @@ def expected_identifications(a: int, b: int, c: int, n: int) -> list[tuple[int, 
         path = [*range(prev, prev + a), *range(arc, arc + c), *range(mer + a + b, mer + m)]
         pairs += zip(path, path[a:])
     return pairs
-
-
-def edge_partition_from_pairs(
-    num_edges: int, pairs: Iterable[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """(class index, parity) of each edge id in range(num_edges), from
-    orientation-preserving pairs, with classes indexed by first appearance
-    in id order: comparable to `GluedDiagram.edge_location`.
-    """
-    dsu = _ParityDSU(num_edges)
-    for u, v in pairs:  # parity 0 throughout, so no union can contradict
-        dsu.union(u, v)
-    return dsu.locate(range(num_edges))
 
 
 def check_seifert_diagram(cover: CoveredKnot, w: FreeWord) -> tuple[GluedDiagram, bool]:

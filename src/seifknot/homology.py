@@ -7,7 +7,8 @@ those certificates (and, over Z[t, 1/t], takes the Alexander minors of
 `foxcalc`); and integer polynomials as coefficient lists: the gcd
 that the Alexander polynomial needs, and resultants for the circulant
 shortcut that computes the abelianization order of a cyclic presentation
-straight from the exponent vector of its defining word.
+straight from the exponent vector of its defining word. `seifert_h1` is
+the Seifert family's H1 in closed form, for the Smith forms to meet.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Any, Iterable, Sequence
 
-from .presentations import Presentation
+from .presentations import Presentation, validate_seifert_params
 
 Matrix = list[list[int]]
 
@@ -270,6 +271,28 @@ def first_homology(pres: Presentation) -> AbelianGroup:
     """Abelianization of a presented group (first homology of any space
     with that fundamental group)."""
     return cokernel(pres.relation_matrix(), pres.num_generators)
+
+
+def seifert_h1(n: int, p: int, q: int, l: int) -> AbelianGroup:
+    """H1 of the Seifert manifold with n fibres of type (p, q) and one of
+    type (l, l-1), in closed form: (Z/p)^(n-2) + Z/g + Z/(p m / g) with
+    m = |nlq - p| and g = gcd(p, l); the last summand is Z when m = 0.
+
+    Abelianize the standard presentation. h is central, so the commutator
+    rows vanish. The surface relator gives y = -(y1 + ... + yn + h), and
+    the (l, l-1) relator then gives h = -l(y1 + ... + yn), a unit pivot.
+    The n fibre relators become the matrix p*I - ql*J, J all ones. In the
+    basis y1, d = y2 + ... + yn - (n - 1)y1 and yi - y1 for 3 <= i <= n,
+    that is (Z/p)^(n-2) plus the cokernel of the rows (0, p) and
+    (p - nlq, -ql) in y1, d: their entries have gcd gcd(p, ql) = g, as q
+    is prime to p, and their determinant is -p(p - nlq), so the invariant
+    factors are g and p m / g (0 when m = 0). g divides p and m, so p
+    divides p m / g and the orders form a chain."""
+    validate_seifert_params(n, p, q, l)
+    g = gcd(p, l)
+    m = abs(n * l * q - p)
+    orders = (g, *[p] * (n - 2), p * m // g)  # a last order 0 is the summand Z
+    return AbelianGroup(0 if m else 1, tuple(t for t in orders if t > 1))
 
 
 # -- integer polynomials: gcd, resultants and circulants ---------------------

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from time import perf_counter
 
-from .dunwoody import (
-    GluedDiagram,
-    check_seifert_diagram,
-    edge_partition_from_pairs,
-    expected_identifications,
-)
+from .dunwoody import GluedDiagram, check_seifert_diagram, expected_identifications
 from .foxcalc import (
     LaurentPoly,
     alexander_polynomial,
@@ -31,6 +26,7 @@ from .freegroup import FreeWord, format_word, parse_word, seifert_word
 from .homology import (
     circulant_order,
     first_homology,
+    seifert_h1,
     smith_normal_form,
     verify_snf_certificate,
 )
@@ -283,18 +279,17 @@ def _tietze_tail(grid: list[Point]) -> tuple[bool, str]:
 
 
 def _homology_at(at: _GridPoint) -> str | None:
-    """Both presentations abelianize identically, the circulant shortcut
-    agrees, and the order is p^(n-1) times |H1| of the lens space L(nlq-p, q)."""
-    point = n, p, q, l = at.point
+    """Both presentations abelianize to the closed form `seifert_h1`, and
+    the circulant shortcut agrees on the order."""
+    point = at.point
     cyc = first_homology(cyclic_presentation(at.word))
     std = first_homology(standard_seifert_presentation(*point))
-    if cyc != std:
-        return f"H1 mismatch at {point}: {cyc} vs {std}"
+    closed = seifert_h1(*point)
+    if cyc != closed or std != closed:
+        return f"H1 mismatch at {point}: {cyc} vs {std} vs closed form {closed}"
     order = circulant_order(at.word.exponent_vector())
     if order != (cyc.order() or 0):  # 0 stands for an infinite H1
         return f"circulant order mismatch at {point}"
-    if order != p ** (n - 1) * abs(n * l * q - p):
-        return f"H1 order is not p^(n-1)|nlq - p| at {point}"
     return None
 
 
@@ -321,11 +316,11 @@ def _diagram_at(at: _GridPoint) -> str | None:
 
 
 def _identification_at(at: _GridPoint) -> str | None:
-    """On the aligned branch p >= 2q, the glued edge identifications are
-    exactly the two closed-form families, orientations included. This
-    branch (shift 0) has twist residue a + c, which
-    `knots11._reduce_crossed` reduces, not `_reduce_aligned` (except at
-    p = 2q, where c = 0)."""
+    """On the aligned branch p >= 2q, the glued slot pairs are exactly the
+    two closed-form families as a multiset of unordered pairs, none glued
+    against its orientation. This branch (shift 0) has twist residue
+    a + c, which `knots11._reduce_crossed` reduces, not `_reduce_aligned`
+    (except at p = 2q, where c = 0)."""
     point = at.point
     if point[1] < 2 * point[2]:
         return None
@@ -333,12 +328,14 @@ def _identification_at(at: _GridPoint) -> str | None:
     params = diagram.params
     if params.s != 0 or params.r != params.a + params.c:
         return f"unexpected gluing data {params} at {point}"
-    pairs = expected_identifications(params.a, params.b, params.c, params.n)
-    location = diagram.edge_location
-    # one pair per boundary slot; there are as many slots as edges
-    if len(pairs) != len(location):
-        return f"rule count off at {point}"
-    if edge_partition_from_pairs(len(location), pairs) != location:
+    # each pair unordered, as (smaller id, larger id, glued reversed)
+    rules = expected_identifications(params.a, params.b, params.c, params.n)
+    expected = sorted([(u, v, False) if u < v else (v, u, False) for u, v in rules])
+    glued = sorted([
+        (u, v, eps == delta) if u < v else (v, u, eps == delta)
+        for u, v, eps, delta in diagram._slots()
+    ])
+    if glued != expected:
         return f"identification mismatch at {point}"
     return None
 

@@ -10,9 +10,9 @@ from seifknot.dunwoody import (
     GluedDiagram,
     GluingError,
     check_seifert_diagram,
-    edge_partition_from_pairs,
     expected_identifications,
 )
+from seifknot import verify
 from seifknot.freegroup import parse_word, seifert_word
 from seifknot.knots11 import knot_from_seifert
 from seifknot.presentations import seifert_parameter_grid
@@ -138,15 +138,62 @@ def test_read_off_is_compared_at_the_covers_shift(point):
     assert not seifert_diagram(*point, seifert_word(*point).shift(1))[1]
 
 
+def edge_partition_from_pairs(num_edges, pairs):
+    """(class index, parity) of each edge id in range(num_edges), from
+    orientation-preserving pairs, with classes indexed by first appearance
+    in id order: comparable to `GluedDiagram.edge_location`."""
+    dsu = _ParityDSU(num_edges)
+    for u, v in pairs:  # parity 0 throughout, so no union can contradict
+        dsu.union(u, v)
+    return dsu.locate()
+
+
 def test_expected_identifications_match_gluing():
-    for seifert in [(3, 5, 2, 1), (2, 5, 2, 2), (4, 7, 3, 1)]:
-        diagram = seifert_diagram(*seifert)[0]
+    aligned = [point for point in seifert_parameter_grid(*GATE_GRID) if point[1] >= 2 * point[2]]
+    assert len(aligned) == 126
+    for point in aligned:
+        diagram = seifert_diagram(*point)[0]
         params = diagram.params
         assert params.s == 0  # the rules cover the unshifted family
         pairs = expected_identifications(params.a, params.b, params.c, params.n)
         assert len(pairs) == params.n * (2 * params.a + params.b + params.c)
+        # the partition the pairs generate, and the pairs themselves
         rebuilt = edge_partition_from_pairs(len(diagram.edges), pairs)
-        assert rebuilt == diagram.edge_location
+        assert rebuilt == diagram.edge_location, point
+        slots = diagram._slots()
+        glued = Counter((min(u, v), max(u, v), eps == delta) for u, v, eps, delta in slots)
+        assert glued == Counter((min(u, v), max(u, v), False) for u, v in pairs), point
+
+
+def test_identification_rules_compare_pairs_not_partitions(monkeypatch):
+    # every edge lies in two slots, so each edge class is a cycle of pairs:
+    # in a class of three or more edges, replacing one pair by a copy of
+    # another leaves the partition as it was but not the pairs
+    point = (3, 2, 1, 1)
+    diagram = seifert_diagram(*point)[0]
+    params = diagram.params
+    strands = (params.a, params.b, params.c, params.n)
+    rules = expected_identifications(*strands)
+    location = diagram.edge_location
+    sizes = Counter(cls for cls, _ in location)
+    i, j = next(
+        (i, j)
+        for i, (u, _) in enumerate(rules)
+        for j, (x, _) in enumerate(rules)
+        if rules[i] != rules[j] and location[u][0] == location[x][0]
+        and sizes[location[u][0]] >= 3
+    )
+    doctored = list(rules)
+    doctored[i] = rules[j]
+    assert edge_partition_from_pairs(len(location), doctored) == location
+
+    def rules_with_a_copy(*args):
+        return doctored if args == strands else expected_identifications(*args)
+
+    at = verify._GridPoint(point)
+    assert verify._identification_at(at) is None
+    monkeypatch.setattr(verify, "expected_identifications", rules_with_a_copy)
+    assert verify._identification_at(at) == f"identification mismatch at {point}"
 
 
 @pytest.mark.parametrize(
@@ -237,12 +284,19 @@ def test_parity_union_find():
     dsu.union(1, 2)
     dsu.union(2, 0, rel=1)  # consistent with the first two
     assert dsu.classes == 2
-    assert [k for k, _ in dsu.locate(range(4))] == [0, 0, 0, 1]
-    # classes by first appearance in the order, parities re-anchored to
-    # each class's first element
-    assert dsu.locate([3, 2, 1, 0]) == [(0, 0), (1, 0), (1, 0), (1, 1)]
+    assert [k for k, _ in dsu.locate()] == [0, 0, 0, 1]
     with pytest.raises(GluingError):
         dsu.union(0, 2)  # 0 and 2 are already glued with opposite orientations
+
+    # unions that make 3 the root of the class {1, 2, 3}, whose first
+    # element 1 carries parity 1 relative to it
+    dsu = _ParityDSU(4)
+    dsu.union(3, 2, rel=1)
+    dsu.union(2, 1)
+    assert dsu.find(1) == (3, 1)
+    # classes by first appearance, parities re-anchored to each class's
+    # first element
+    assert dsu.locate() == [(0, 0), (1, 0), (1, 0), (1, 1)]
 
 
 def _diagram_digest(param_list):

@@ -12,6 +12,7 @@ from seifknot.homology import (
     cokernel,
     first_homology,
     resultant,
+    seifert_h1,
     smith_normal_form,
     verify_snf_certificate,
 )
@@ -190,6 +191,26 @@ def test_first_homology_pinned():
         str(first_homology(seifert_cyclic_presentation(4, 3, 2, 1)))
         == "Z/3 + Z/3 + Z/15"
     )
+
+
+@pytest.mark.parametrize(
+    "point, h1",
+    [
+        ((2, 4, 1, 2), "Z + Z/2"),  # m = |nlq - p| = 0: the last summand is Z
+        ((3, 4, 1, 2), "Z/2 + Z/4 + Z/4"),  # g = gcd(p, l) = 2
+        ((3, 2, 1, 1), "Z/2 + Z/2"),
+        ((2, 3, 2, 2), "Z/15"),
+    ],
+)
+def test_seifert_h1_closed_form(point, h1):
+    assert str(seifert_h1(*point)) == h1
+    assert seifert_h1(*point) == first_homology(seifert_cyclic_presentation(*point))
+
+
+def test_seifert_h1_rejects_parameters_outside_the_family():
+    for point in [(1, 3, 1, 1), (3, 4, 2, 1), (2, 3, 1, 1)]:
+        with pytest.raises(ValueError):
+            seifert_h1(*point)
 
 
 def test_first_homology_route_independence():
