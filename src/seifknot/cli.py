@@ -16,7 +16,7 @@ from typing import Any, Sequence
 from .dunwoody import DiagramParams, GluedDiagram, check_seifert_diagram
 from .foxcalc import alexander_polynomial, example_knot_presentation
 from .freegroup import seifert_word
-from .homology import cokernel, first_homology
+from .homology import cokernel, cyclic_h1, standard_h1
 from .knots11 import (
     KnotParams,
     _one_step_moves,
@@ -108,9 +108,18 @@ def _group_line(group) -> str:
 # cyclic presentation has n relators of n*l syllables each, the standard
 # one at most 7n + 8 syllables in all; its relation matrix is n x n
 # (cyclic) or (2n + 3) x (n + 2) (standard). At the syllable cap a command
-# takes about a second, at the cell cap 4 to 8 s (2-vCPU Xeon).
+# takes about a second. `homology` builds no such matrix, its time is
+# linear in the syllables: at the cell cap it takes under half a second
+# (2-vCPU Xeon).
 MAX_RELATOR_SYLLABLES = 300_000
 MAX_MATRIX_CELLS = 200_000
+
+# Most cells x bits of the largest entry (at least 1) `homology matrix`
+# reduces. Its dense Smith form lets entries grow, so time grows steeply
+# with size and entry size alike: at the cap a 100 x 100 matrix of
+# entries in [-1, 1] takes about a second, and 120 x 120 in [-9, 9],
+# 57 600 over it, took 9 s (2-vCPU Xeon).
+MAX_MATRIX_BITS = 10_000
 
 # Most relator letters `alexander --presentation` differentiates. A Fox
 # derivative costs time linear in its relator's letters, but the minors
@@ -201,17 +210,23 @@ def cmd_tietze(args: argparse.Namespace) -> int:
 def cmd_homology(args: argparse.Namespace) -> int:
     if args.source == "matrix":
         rows = _load_int_matrix(args.file)
+        bits = max([1] + [x.bit_length() for row in rows for x in row])
+        size = len(rows) * len(rows[0]) * bits
+        if size > MAX_MATRIX_BITS:
+            raise ValueError(
+                f"matrix too large: {len(rows)} x {len(rows[0])} cells x {bits} "
+                f"bits = {size} exceed the cap of {MAX_MATRIX_BITS}"
+            )
         group = cokernel(rows, len(rows[0]))
         label = "cokernel"
     else:
         _check_presentation_size(args, (args.source,))
         _check_matrix_cells(args)
-        build = (
-            seifert_cyclic_presentation
-            if args.source == "cyclic"
-            else standard_seifert_presentation
-        )
-        group = first_homology(build(args.n, args.p, args.q, args.l))
+        params = (args.n, args.p, args.q, args.l)
+        if args.source == "cyclic":
+            group = cyclic_h1(seifert_cyclic_presentation(*params))
+        else:
+            group = standard_h1(standard_seifert_presentation(*params))
         label = "H1"
     _emit(args, _group_payload(group), f"{label} = {_group_line(group)}")
     return 0

@@ -8,7 +8,10 @@ those certificates (and, over Z[t, 1/t], takes the Alexander minors of
 that the Alexander polynomial needs, and resultants for the circulant
 shortcut that computes the abelianization order of a cyclic presentation
 straight from the exponent vector of its defining word. `seifert_h1` is
-the Seifert family's H1 in closed form, for the Smith forms to meet.
+the Seifert family's H1 in closed form, for the Smith forms to meet;
+`cyclic_h1` and `standard_h1` reduce either presentation to c*J + d*P,
+whose cokernel `cokernel_cj_dp` gives in closed form, in time linear in
+the presentation.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Any, Iterable, Sequence
 
+from .freegroup import FreeWord
 from .presentations import Presentation, validate_seifert_params
 
 Matrix = list[list[int]]
@@ -271,6 +275,94 @@ def first_homology(pres: Presentation) -> AbelianGroup:
     """Abelianization of a presented group (first homology of any space
     with that fundamental group)."""
     return cokernel(pres.relation_matrix(), pres.num_generators)
+
+
+def cokernel_cj_dp(n: int, c: int, d: int) -> AbelianGroup:
+    """coker(c*J + d*P) for n >= 2, J the n x n all-ones matrix and P any
+    n x n permutation matrix: Z/g + (Z/|d|)^(n-2) + Z/(|d(nc + d)|/g) with
+    g = gcd(c, d), where an order 0 is a summand Z.
+
+    Right multiplication by P^-1 permutes columns and fixes J, leaving
+    c*J + d*I. Row i minus row i-1 (i >= 1) is d(e_i - e_(i-1)); replacing
+    column j by the sum of columns j..n-1 turns those rows into d*e_i and
+    row 0 into (nc + d, (n-1)c, ..., 2c, c). Column j -= (n-j) column n-1
+    clears row 0 at 1 <= j <= n-2, and row n-1 += (n-j) row j undoes what
+    that put in row n-1. All steps are unimodular and leave d*I_(n-2) next
+    to the core [[nc + d, c], [0, d]] on rows and columns 0 and n-1, whose
+    entries have gcd g and whose determinant is d(nc + d): invariant
+    factors g and |d(nc + d)|/g. The chain g | d | d(nc + d)/g holds, as
+    g divides nc + d."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    g = gcd(c, d)
+    orders = (g, *[abs(d)] * (n - 2), abs(d * (n * c + d)) // g if g else 0)
+    return AbelianGroup(orders.count(0), tuple(t for t in orders if t > 1))
+
+
+def cyclic_h1(pres: Presentation) -> AbelianGroup:
+    """H1 of a cyclic presentation in time linear in its syllables, by
+    `cokernel_cj_dp`: relator k must be relator 0 shifted by k, and the
+    exponent sums of relator 0 constant c but for one entry c + d, so the
+    relation matrix is c*J + d*P, P a cyclic shift (for the Seifert word,
+    ql*J - p*C). A failed premise raises ValueError."""
+    n = pres.num_generators
+    rows = [r.exponent_vector() for r in pres.relators]
+    if n < 2 or len(rows) != n:
+        raise ValueError("need n >= 2 generators and one relator per generator")
+    first = rows[0]
+    for k, row in enumerate(rows):
+        if row != first[n - k :] + first[: n - k]:
+            raise ValueError(f"relator {k} is not relator 0 shifted by {k}")
+    c = first[1] if n > 2 and first[0] not in first[1:3] else first[0]
+    odd = [x - c for x in first if x != c]
+    if len(odd) > 1:
+        raise ValueError("relator 0's exponent sums are not constant but for one")
+    return cokernel_cj_dp(n, c, sum(odd))
+
+
+def _exponent_sums(word: FreeWord) -> dict[int, int]:
+    """The nonzero exponent sums of a word, by generator."""
+    sums: dict[int, int] = {}
+    for g, e in word.syllables:
+        sums[g] = sums.get(g, 0) + e
+    return {g: e for g, e in sums.items() if e}
+
+
+def standard_h1(pres: Presentation) -> AbelianGroup:
+    """H1 of a standard Seifert presentation, in the relator order of
+    `standard_seifert_presentation`, in time linear in its syllables.
+
+    On the sparse exponent rows it checks that the n + 1 commutator rows
+    vanish and the fibre rows are p e_i + q e_h (p, q nonzero), then makes
+    `seifert_h1`'s two unit substitutions: the surface row eliminates y,
+    then the (l, l-1) row, now t h + a(y1 + ... + yn) with t = +-1,
+    eliminates h. The fibre rows become p*I - qta*J (p*I - ql*J in the
+    family), which goes to `cokernel_cj_dp`. A failed premise raises
+    ValueError."""
+    n = pres.num_generators - 2
+    y, h = n + 1, n + 2
+    rows = [_exponent_sums(r) for r in pres.relators]
+    if n < 2 or len(rows) != 2 * n + 3:
+        raise ValueError("need n + 2 >= 4 generators and 2n + 3 relators")
+    if any(rows[: n + 1]):
+        raise ValueError("a commutator row does not vanish")
+    fibres, extra, surface = rows[n + 1 : 2 * n + 1], rows[2 * n + 1], rows[-1]
+    p, q = fibres[0].get(1), fibres[0].get(h)
+    if any(row != {i: p, h: q} for i, row in enumerate(fibres, 1)):
+        raise ValueError("the fibre rows are not p e_i + q e_h")
+    s = surface.get(y)
+    if s not in (1, -1):
+        raise ValueError("the surface row's pivot on y is not +-1")
+    k = extra.get(y, 0) * s  # s * s = 1, so y drops out of the row below
+    rest = {
+        g: extra.get(g, 0) - k * surface.get(g, 0) for g in extra.keys() | surface.keys()
+    }
+    t, a = rest.get(h), rest.get(1, 0)
+    if t not in (1, -1):
+        raise ValueError("the (l, l-1) row's pivot on h is not +-1")
+    if any(rest.get(i, 0) != a for i in range(2, n + 1)):
+        raise ValueError("the (l, l-1) row is not t h + a(y1 + ... + yn)")
+    return cokernel_cj_dp(n, -q * t * a, p)
 
 
 def seifert_h1(n: int, p: int, q: int, l: int) -> AbelianGroup:

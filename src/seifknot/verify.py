@@ -28,6 +28,7 @@ from .homology import (
     first_homology,
     seifert_h1,
     smith_normal_form,
+    standard_h1,
     verify_snf_certificate,
 )
 from .knots11 import (
@@ -283,7 +284,7 @@ def _homology_at(at: _GridPoint) -> str | None:
     the circulant shortcut agrees on the order."""
     point = at.point
     cyc = first_homology(cyclic_presentation(at.word))
-    std = first_homology(standard_seifert_presentation(*point))
+    std = standard_h1(standard_seifert_presentation(*point))
     closed = seifert_h1(*point)
     if cyc != closed or std != closed:
         return f"H1 mismatch at {point}: {cyc} vs {std} vs closed form {closed}"

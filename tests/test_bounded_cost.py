@@ -4,6 +4,7 @@ command takes now and far below what the value-linear code took (noted per
 test, measured on a 2-vCPU Xeon), so a regression fails fast."""
 
 import json
+import random
 from time import perf_counter
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from seifknot.cli import main
 from seifknot.foxcalc import LaurentPoly, fox_derivative
 from seifknot.freegroup import FreeWord
+from seifknot.homology import seifert_h1
 from seifknot.presentations import seifert_cyclic_presentation
 
 
@@ -75,3 +77,28 @@ def test_fox_derivative_is_bounded():
     assert perf_counter() - start < 0.5
     assert by_x == LaurentPoly(0, [1] + [0] * (e - 1) + [-1])  # 1 - t^e
     assert by_y == -by_x
+
+
+@pytest.mark.parametrize(
+    "source, n",
+    [("cyclic", 447), ("standard", 314)],  # the largest n under the cell cap
+)
+def test_homology_is_bounded(capsys, source, n):
+    # 7.8 s (cyclic) and 5.0 s (standard) before, by a dense Smith form of
+    # the 447 x 447 or 631 x 316 relation matrix
+    data, seconds = timed_json(capsys, "homology", source, str(n), "3", "1", "1")
+    assert seconds < 1.0
+    h1 = seifert_h1(n, 3, 1, 1)
+    assert data == {"rank": h1.rank, "torsion": list(h1.torsion)}
+
+
+def test_homology_matrix_is_bounded_at_its_cap(tmp_path, capsys):
+    # 100 x 100 cells x 1 bit; 120 x 120 with entries in [-9, 9], over
+    # the cap, took 9.3 s
+    rng = random.Random(100)
+    rows = [[rng.randint(-1, 1) for _ in range(100)] for _ in range(100)]
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps(rows))
+    data, seconds = timed_json(capsys, "homology", "matrix", str(path))
+    assert seconds < 5.0
+    assert data["rank"] == 0

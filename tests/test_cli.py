@@ -70,6 +70,34 @@ def test_homology_matrix_file(tmp_path, capsys):
     assert json.loads(out) == {"rank": 0, "torsion": [15]}
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[9] * 120] * 120, "120 x 120 cells x 4 bits = 57600"),
+        ([[1] * 100] * 99 + [[1] * 99 + [2]], "100 x 100 cells x 2 bits = 20000"),
+        ([[0] * 10_001], "1 x 10001 cells x 1 bits = 10001"),
+    ],
+    ids=["120x120", "one-wide-entry", "zeros"],
+)
+def test_homology_matrix_cap(tmp_path, capsys, monkeypatch, rows, message):
+    def no_work(*args):
+        raise AssertionError("a matrix over the cap was reduced")
+
+    monkeypatch.setattr(cli, "cokernel", no_work)
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps(rows))
+    code, out, err = run_cli(capsys, "homology", "matrix", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: matrix too large: {message} exceed the cap of 10000\n"
+
+
+def test_homology_matrix_cap_is_inclusive(tmp_path, capsys):
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps([[0] * 10_000]))  # 10000 cells x 1 bit
+    code, out, _ = run_cli(capsys, "--json", "homology", "matrix", str(path))
+    assert code == 0 and json.loads(out) == {"rank": 10_000, "torsion": []}
+
+
 DEEP_JSON = "[" * 2000 + "]" * 2000
 
 

@@ -1,24 +1,31 @@
 import hashlib
+import json
 import random
 from itertools import combinations, permutations
-from math import prod
+from math import gcd, prod
 
 import pytest
 
+from seifknot import homology
+from seifknot.cli import main
 from seifknot.homology import (
     AbelianGroup,
     bareiss_determinant,
     circulant_order,
     cokernel,
+    cokernel_cj_dp,
+    cyclic_h1,
     first_homology,
     resultant,
     seifert_h1,
     smith_normal_form,
+    standard_h1,
     verify_snf_certificate,
 )
-from seifknot.freegroup import seifert_word
+from seifknot.freegroup import FreeWord, seifert_word
 from seifknot.knots11 import knot_from_seifert
 from seifknot.presentations import (
+    Presentation,
     seifert_cyclic_presentation,
     seifert_parameter_grid,
     standard_seifert_presentation,
@@ -218,6 +225,104 @@ def test_first_homology_route_independence():
         cyclic = first_homology(seifert_cyclic_presentation(*params))
         standard = first_homology(standard_seifert_presentation(*params))
         assert cyclic == standard
+
+
+def test_cokernel_cj_dp_matches_dense_cokernel():
+    rng = random.Random(12)
+    for _ in range(2500):
+        n = rng.randint(2, 9)
+        c, d = rng.randint(-12, 12), rng.randint(-12, 12)
+        if rng.random() < 0.1:
+            c, d = rng.choice([(0, d), (c, 0), (0, 0), (c, -n * c)])
+        perm = rng.sample(range(n), n)
+        mat = [[c + d * (perm[i] == j) for j in range(n)] for i in range(n)]
+        assert cokernel_cj_dp(n, c, d) == cokernel(mat, n), (n, c, d, perm)
+    assert cokernel_cj_dp(3, 0, 0) == AbelianGroup(3)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        cokernel_cj_dp(1, 2, 3)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        cyclic_h1(Presentation(("x1",), (FreeWord(1, [(1, 2)]),)))
+
+
+def _large_points():
+    rng = random.Random(40)
+    points = []
+    for n in (40, 105, 150):
+        for l in (1, 2, 3):
+            p = rng.randint(2, 13)
+            q = rng.choice([q for q in range(1, p) if gcd(p, q) == 1])
+            points.append((n, p, q, l))
+    return points
+
+
+@pytest.mark.parametrize(
+    "points",
+    [seifert_parameter_grid(8, 11, 4), _large_points()],
+    ids=["stress-grid", "large-n"],
+)
+def test_linear_routes_match_dense_smith_forms(points):
+    for point in points:
+        cyclic = seifert_cyclic_presentation(*point)
+        standard = standard_seifert_presentation(*point)
+        closed = seifert_h1(*point)
+        assert cyclic_h1(cyclic) == first_homology(cyclic) == closed, point
+        assert standard_h1(standard) == first_homology(standard) == closed, point
+
+
+def _with_relator(pres, index, relator):
+    relators = list(pres.relators)
+    relators[index] = FreeWord(pres.num_generators, relator)
+    return Presentation(pres.generators, tuple(relators))
+
+
+@pytest.mark.parametrize(
+    "index, relator, premise",
+    [
+        (5, [(1, 4), (6, 2)], "fibre rows"),  # y1^4 h^2 for y1^5 h^2
+        (7, [(2, 5), (6, 2)], "fibre rows"),  # y3's fibre row names y2
+        (2, [(3, 1), (6, 1)], "commutator row"),
+        (10, [(1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (6, 1)], "pivot on y"),
+        (9, [(5, 2), (6, 2)], "pivot on h"),  # y^2 h^2 for y^2 h
+        (10, [(1, 1), (2, 1), (3, 2), (4, 1), (5, 1), (6, 1)], r"t h \+ a"),
+    ],
+)
+def test_standard_route_refuses_a_failed_premise(index, relator, premise):
+    pres = _with_relator(standard_seifert_presentation(4, 5, 2, 2), index, relator)
+    with pytest.raises(ValueError, match=premise):
+        standard_h1(pres)
+
+
+@pytest.mark.parametrize(
+    "index, relator, premise",
+    [
+        (2, [(1, 2), (2, 2), (3, 2), (4, -3)], "relator 2 is not"),
+        (0, [(1, 2), (2, 2), (3, 3), (4, -3)], "not constant but for one"),
+    ],
+)
+def test_cyclic_route_refuses_a_failed_premise(index, relator, premise):
+    pres = seifert_cyclic_presentation(4, 5, 2, 1)
+    if index == 0:  # all relators rotations of the new relator 0
+        word = FreeWord(4, relator)
+        pres = Presentation(pres.generators, tuple(word.shift(k) for k in range(4)))
+    else:
+        pres = _with_relator(pres, index, relator)
+    with pytest.raises(ValueError, match=premise):
+        cyclic_h1(pres)
+
+
+def test_linear_routes_build_no_dense_matrix(monkeypatch, capsys):
+    def dense(*args):
+        raise AssertionError("a dense relation matrix or elimination was used")
+
+    monkeypatch.setattr(homology, "_diagonalize", dense)
+    monkeypatch.setattr(Presentation, "relation_matrix", dense)
+    with pytest.raises(AssertionError):  # the patches are in place
+        first_homology(seifert_cyclic_presentation(3, 2, 1, 1))
+    h1 = seifert_h1(150, 7, 2, 3)
+    for source in ("cyclic", "standard"):
+        assert main(["--json", "homology", source, "150", "7", "2", "3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"rank": h1.rank, "torsion": list(h1.torsion)}
 
 
 def test_resultant_pinned():
