@@ -67,6 +67,7 @@ from .presentations import (
     BudgetExceeded,
     Presentation,
     count_homomorphisms,
+    count_seifert_homomorphisms,
     cyclic_presentation,
     seifert_cyclic_presentation,
     seifert_parameter_grid,
@@ -101,6 +102,7 @@ __all__ = [
     "coincident_seifert_params",
     "cokernel",
     "count_homomorphisms",
+    "count_seifert_homomorphisms",
     "cyclic_presentation",
     "example_knot_presentation",
     "expected_identifications",

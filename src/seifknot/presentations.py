@@ -203,38 +203,26 @@ def symmetric_group(m: int) -> list[tuple[int, ...]]:
     return [tuple(p) for p in itertools.permutations(range(m))]
 
 
-def count_homomorphisms(
-    pres: Presentation,
+def _group_tables(
     elements: Sequence[tuple[int, ...]],
-    budget: int = DEFAULT_BUDGET,
-) -> int:
-    """Number of homomorphisms from the presented group to the permutation
-    group given by `elements` (which must be closed under composition and
-    contain the identity), by plain backtracking over generator images.
-
-    Each relator is checked as soon as every generator it mentions has an
-    image, and generators appearing in the most relators are assigned
-    first, so contradictions prune early. Powers are looked up in tables
-    built once per call. Raises BudgetExceeded when the worst case
-    |elements| ** num_generators exceeds the budget, so callers can skip
-    hopeless enumerations deterministically.
+) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
+    """Tables of the permutation group given by `elements` (closed under
+    composition, containing the identity), on indices into `elements`:
+    the multiplication table, each element's cyclic powers [1, x, x^2,
+    ...] up to its order (so x^e = powers[x][e % len(powers[x])] for any
+    integer e), and one (representative, class size) per conjugacy class,
+    the class of the identity first. Raises ValueError for a bad target.
     """
-    g = pres.num_generators
     size = len(elements)
     if size == 0:
         raise ValueError("empty target group")
-    if size**g > budget:
-        raise BudgetExceeded(
-            f"{size}^{g} candidate assignments exceed the budget of {budget}"
-        )
     index = {e: i for i, e in enumerate(elements)}
     if len(index) != size:
         raise ValueError("duplicate target elements")
     degree = len(elements[0])
-    ident = tuple(range(degree))
-    if ident not in index:
+    id_idx = index.get(tuple(range(degree)))
+    if id_idx is None:
         raise ValueError("target must contain the identity permutation")
-    id_idx = index[ident]
     try:
         mult = [
             [index[tuple(p[q[i]] for i in range(degree))] for q in elements]
@@ -242,16 +230,48 @@ def count_homomorphisms(
         ]
     except KeyError:
         raise ValueError("target is not closed under composition") from None
-    inv = [row.index(id_idx) for row in mult]
+    powers = []
+    for x in range(size):
+        cycle = [id_idx]
+        while (nxt := mult[cycle[-1]][x]) != id_idx:
+            cycle.append(nxt)
+        powers.append(cycle)
+    classes = []
+    seen = set()
+    for x in [id_idx] + list(range(size)):
+        if x not in seen:
+            orbit = {mult[mult[g][x]][powers[g][-1]] for g in range(size)}
+            seen |= orbit
+            classes.append((x, len(orbit)))
+    return mult, powers, classes
 
-    max_exp = 1
-    for r in pres.relators:
-        for _, e in r.syllables:
-            max_exp = max(max_exp, abs(e))
-    power = [[id_idx] * (max_exp + 1) for _ in range(size)]
-    for i in range(size):
-        for k in range(1, max_exp + 1):
-            power[i][k] = mult[power[i][k - 1]][i]
+
+def count_homomorphisms(
+    pres: Presentation,
+    elements: Sequence[tuple[int, ...]],
+    budget: int = DEFAULT_BUDGET,
+) -> int:
+    """Number of homomorphisms from the presented group to the permutation
+    group given by `elements` (which must be closed under composition and
+    contain the identity), by backtracking over generator images.
+
+    Each relator is checked as soon as every generator it mentions has an
+    image, and generators appearing in the most relators are assigned
+    first, so contradictions prune early. Conjugating a homomorphism by a
+    fixed element gives another, so the first generator takes one
+    representative of each conjugacy class of the target, its count
+    weighted by the class size (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005). Raises BudgetExceeded when the
+    worst case |elements| ** num_generators exceeds the budget, so
+    callers can skip hopeless enumerations deterministically.
+    """
+    g = pres.num_generators
+    if len(elements) ** g > budget:
+        raise BudgetExceeded(
+            f"{len(elements)}^{g} candidate assignments exceed the budget of {budget}"
+        )
+    mult, powers, classes = _group_tables(elements)
+    id_idx = classes[0][0]
 
     participation = [0] * (g + 1)
     for r in pres.relators:
@@ -259,33 +279,81 @@ def count_homomorphisms(
             participation[gi] += 1
     order = sorted(range(1, g + 1), key=lambda gi: (-participation[gi], gi))
     level_of = {gi: lvl for lvl, gi in enumerate(order)}
-    ready: list[list[list[tuple[int, int]]]] = [[] for _ in range(g)]
+    # each syllable x^e as (level of x, the table of e-th powers)
+    power_of: dict[int, list[int]] = {}
+    ready: list[list[list[tuple[int, list[int]]]]] = [[] for _ in range(g)]
     for r in pres.relators:
         if not r.syllables:
             continue
-        syls = [(level_of[gi], e) for gi, e in r.syllables]
+        for _, e in r.syllables:
+            if e not in power_of:
+                power_of[e] = [cycle[e % len(cycle)] for cycle in powers]
+        syls = [(level_of[gi], power_of[e]) for gi, e in r.syllables]
         ready[max(lvl for lvl, _ in syls)].append(syls)
 
     assign = [id_idx] * g
+    everything = [(x, 1) for x in range(len(elements))]
 
-    def satisfied(syls: list[tuple[int, int]]) -> bool:
+    def satisfied(syls: list[tuple[int, list[int]]]) -> bool:
         val = id_idx
-        for lvl, e in syls:
-            x = assign[lvl]
-            if e < 0:
-                x = inv[x]
-                e = -e
-            val = mult[val][power[x][e]]
+        for lvl, table in syls:
+            val = mult[val][table[assign[lvl]]]
         return val == id_idx
 
-    def descend(level: int) -> int:
+    def descend(level: int, candidates: Sequence[tuple[int, int]]) -> int:
         if level == g:
             return 1
         total = 0
-        for cand in range(size):
+        for cand, weight in candidates:
             assign[level] = cand
             if all(satisfied(s) for s in ready[level]):
-                total += descend(level + 1)
+                total += weight * descend(level + 1, everything)
         return total
 
-    return descend(0)
+    return descend(0, classes)
+
+
+def count_seifert_homomorphisms(
+    n: int, p: int, q: int, l: int, elements: Sequence[tuple[int, ...]]
+) -> int:
+    """Number of homomorphisms from the group of the standard presentation
+    for (n, p, q, l) to the permutation group given by `elements`, by the
+    fibred structure instead of a search.
+
+    A homomorphism is an image h of the fibre generator and images y1..yn,
+    y commuting with h such that yi^p h^q = 1, y^l h^(l-1) = 1 and
+    y1 ... yn y h = 1. So with
+        A_h = {g in C(h) : g^p h^q = 1},  B_h = {g in C(h) : g^l h^(l-1) = 1},
+    the count for a fixed h is the number of (y1, ..., yn, y) in
+    A_h^n x B_h with y1 ... yn = (y h)^-1. A dynamic program over the
+    prefix products y1 ... yk, which stay in C(h), counts these in
+    O(n |C(h)| |A_h|) steps. Conjugating by a fixed element carries the
+    tuples for h onto those for any conjugate of h, so h runs over one
+    representative per conjugacy class, weighted by the class size. This
+    is the element-wise form of the Frobenius-Mednykh count of
+    homomorphisms from Fuchsian and Seifert groups (Mednykh 1978; G. A.
+    Jones, Enumeration of homomorphisms and surface-coverings, 1995).
+    """
+    validate_seifert_params(n, p, q, l)
+    mult, powers, classes = _group_tables(elements)
+    id_idx = classes[0][0]
+
+    def power(x: int, e: int) -> int:
+        return powers[x][e % len(powers[x])]
+
+    total = 0
+    for h, weight in classes:
+        centralizer = [x for x in range(len(elements)) if mult[x][h] == mult[h][x]]
+        hq, hl = power(h, q), power(h, l - 1)
+        a_h = [x for x in centralizer if mult[power(x, p)][hq] == id_idx]
+        b_h = [x for x in centralizer if mult[power(x, l)][hl] == id_idx]
+        prefix = {id_idx: 1}
+        for _ in range(n):
+            step: dict[int, int] = {}
+            for x, ways in prefix.items():
+                row = mult[x]
+                for a in a_h:
+                    step[row[a]] = step.get(row[a], 0) + ways
+            prefix = step
+        total += weight * sum(prefix.get(power(mult[b][h], -1), 0) for b in b_h)
+    return total

@@ -62,6 +62,14 @@ def test_homology_presentations(capsys):
     assert "Z/15" in out and "order 15" in out
 
 
+def test_homology_writes_a_long_order_as_a_product(capsys):
+    # 3^9004 * 27009 has 4301 decimal digits, more than Python writes
+    code, out, err = run_cli(capsys, "homology", "standard", "9006", "3", "1", "1")
+    assert (code, err) == (0, "")
+    assert out.endswith(" + Z/3 + Z/27009 (order 3^9004 * 27009)\n")
+    assert out.count("Z/3 +") == 9004
+
+
 def test_homology_matrix_file(tmp_path, capsys):
     path = tmp_path / "mat.json"
     path.write_text(json.dumps([[4, 1], [1, 4]]))
@@ -455,8 +463,8 @@ def test_verify_all_rejects_a_budget_below_one(capsys, monkeypatch, budget):
         ("present 42858 7 2 1 --form standard", "300014 relator syllables"),
         ("tietze 2 3 1 75001", "300004 relator syllables"),
         ("homology cyclic 2 3 1 75001", "300004 relator syllables"),
-        ("homology cyclic 448 3 1 1", "448 x 448 = 200704 cells"),
-        ("homology standard 315 3 1 1", "633 x 317 = 200661 cells"),
+        ("homology cyclic 548 3 1 1", "300304 relator syllables"),
+        ("homology standard 42857 3 1 1", "300007 relator syllables"),
         # invalid parameters are reported as such, even over a cap
         ("present 100000 3 5 1", "need 1 <= q < p"),
         ("tietze 100000 3 5 1", "need 1 <= q < p"),
@@ -489,8 +497,8 @@ def test_presentation_size_caps_are_inclusive(capsys, monkeypatch):
     for command in (
         "present 3 7 2 33333 --form cyclic",  # 299997 syllables
         "tietze 2 3 1 75000",  # 300000
-        "homology cyclic 447 3 1 1",  # 199809 cells
-        "homology standard 314 3 1 1",  # 631 x 316 = 199396 cells
+        "homology cyclic 547 3 1 1",  # 299209
+        "homology standard 42855 3 1 1",  # 299993
     ):
         run_cli(capsys, *command.split())
     assert len(built) == 4

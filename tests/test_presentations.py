@@ -7,6 +7,7 @@ from seifknot.presentations import (
     BudgetExceeded,
     Presentation,
     count_homomorphisms,
+    count_seifert_homomorphisms,
     cyclic_presentation,
     seifert_cyclic_presentation,
     seifert_parameter_grid,
@@ -143,18 +144,136 @@ def naive_count(pres: Presentation, elements) -> int:
     return total
 
 
+def plain_count(pres: Presentation, elements) -> int:
+    """The plain backtracker: every generator ranges over every element,
+    generators in the most relators first, each relator checked once all
+    its generators have images. No conjugacy classes, no fibred count."""
+    ident = tuple(range(len(elements[0])))
+    index = {e: i for i, e in enumerate(elements)}
+    mult = [[index[tuple(a[i] for i in b)] for b in elements] for a in elements]
+
+    def power(x, e):
+        val = index[ident]
+        for _ in range(abs(e)):
+            val = mult[val][x]
+        return val if e >= 0 else mult[val].index(index[ident])
+
+    g = pres.num_generators
+    uses = [sum(gi in r.support() for r in pres.relators) for gi in range(g + 1)]
+    order = sorted(range(1, g + 1), key=lambda gi: (-uses[gi], gi))
+    level_of = {gi: lvl for lvl, gi in enumerate(order)}
+    exponents = {e for r in pres.relators for _, e in r.syllables}
+    tables = {e: [power(x, e) for x in range(len(elements))] for e in exponents}
+    ready = [[] for _ in range(g)]
+    for r in pres.relators:
+        if r.syllables:
+            syls = [(level_of[gi], tables[e]) for gi, e in r.syllables]
+            ready[max(lvl for lvl, _ in syls)].append(syls)
+    assign = [0] * g
+
+    def descend(level):
+        if level == g:
+            return 1
+        total = 0
+        for cand in range(len(elements)):
+            assign[level] = cand
+            for syls in ready[level]:
+                val = index[ident]
+                for lvl, table in syls:
+                    val = mult[val][table[assign[lvl]]]
+                if val != index[ident]:
+                    break
+            else:
+                total += descend(level + 1)
+        return total
+
+    return descend(0)
+
+
+def subgroup(generators):
+    """The permutation group the given permutations generate."""
+    group = {tuple(range(len(generators[0])))}
+    frontier = list(group)
+    while frontier:
+        a = frontier.pop()
+        for b in generators:
+            c = tuple(a[i] for i in b)
+            if c not in group:
+                group.add(c)
+                frontier.append(c)
+    return sorted(group)
+
+
+A4 = subgroup([(1, 2, 0, 3), (0, 2, 3, 1)])
+C4 = subgroup([(1, 2, 3, 0)])
+TREFOIL = Presentation(("x", "y"), (parse_word("x y x y^-1 x^-1 y^-1", 2, ("x", "y")),))
+HOM_POINTS = [(2, 3, 2, 2), (3, 2, 1, 1), (3, 5, 2, 1), (4, 3, 2, 1)]
+
+
 def test_hom_count_matches_naive_enumeration():
     s3 = symmetric_group(3)
-    trefoil = Presentation(
-        ("x", "y"), (parse_word("x y x y^-1 x^-1 y^-1", 2, ("x", "y")),)
-    )
-    cases = [
-        trefoil,
+    for pres in [
+        TREFOIL,
         seifert_cyclic_presentation(3, 2, 1, 1),
         seifert_cyclic_presentation(2, 3, 2, 2),
-    ]
+    ]:
+        assert count_homomorphisms(pres, s3) == plain_count(pres, s3) == naive_count(pres, s3)
+
+
+@pytest.mark.parametrize("target", ["S3", "S4", "A4", "C4"])
+def test_class_representatives_match_the_plain_backtracker(target):
+    elements = {"S3": symmetric_group(3), "S4": symmetric_group(4), "A4": A4, "C4": C4}[target]
+    assert len(subgroup(elements)) == len(elements) == {"S3": 6, "S4": 24, "A4": 12, "C4": 4}[target]
+    cases = [TREFOIL]
+    for point in HOM_POINTS:
+        cases += [seifert_cyclic_presentation(*point), standard_seifert_presentation(*point)]
     for pres in cases:
-        assert count_homomorphisms(pres, s3) == naive_count(pres, s3)
+        assert count_homomorphisms(pres, elements, 10**12) == plain_count(pres, elements), str(pres)
+
+
+def test_class_representatives_in_any_element_order():
+    # the class of the first listed element is not that of the identity
+    pres = seifert_cyclic_presentation(3, 2, 1, 1)
+    elements = symmetric_group(4)[::-1]
+    assert count_homomorphisms(pres, elements) == 52
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_fibred_count_matches_the_plain_backtracker(m):
+    elements = symmetric_group(m)
+    for point in seifert_parameter_grid(4, 5, 3):
+        if m == 4 and point[:2] == (4, 4):
+            continue  # 2-4 s each for the plain backtracker; S3 covers them
+        pres = standard_seifert_presentation(*point)
+        assert count_seifert_homomorphisms(*point, elements) == plain_count(pres, elements), point
+
+
+def test_fibred_count_into_subgroups():
+    for elements in (A4, C4):
+        for point in HOM_POINTS:
+            pres = standard_seifert_presentation(*point)
+            assert count_seifert_homomorphisms(*point, elements) == plain_count(pres, elements)
+
+
+def test_fibred_count_validates_its_input():
+    with pytest.raises(ValueError, match="need gcd"):
+        count_seifert_homomorphisms(3, 4, 2, 1, symmetric_group(3))
+    with pytest.raises(ValueError, match="not closed under composition"):
+        count_seifert_homomorphisms(3, 2, 1, 1, [(0, 1, 2), (1, 2, 0)])
+
+
+def test_s5_counts_are_pinned():
+    s5 = symmetric_group(5)
+    expected = [165, 196, 265, 3645]
+    assert [count_seifert_homomorphisms(*point, s5) for point in HOM_POINTS] == expected
+    # the cyclic side of (4, 3, 2, 1) takes about 16 s
+    for point, count in zip(HOM_POINTS[:3], expected):
+        assert count_homomorphisms(seifert_cyclic_presentation(*point), s5) == count
+
+
+def test_no_generators_gives_one_homomorphism():
+    assert count_homomorphisms(Presentation((), ()), symmetric_group(3)) == 1
+    assert count_homomorphisms(Presentation((), (FreeWord(0, ()),)), symmetric_group(1)) == 1
 
 
 def test_hom_count_pinned_values():

@@ -10,7 +10,7 @@ import pytest
 from seifknot import cli, verify
 from seifknot.cli import main
 from seifknot.freegroup import seifert_word
-from seifknot.presentations import seifert_parameter_grid
+from seifknot.presentations import seifert_cyclic_presentation, seifert_parameter_grid
 from seifknot.verify import DEFAULT_BUDGET, GATE_GRID
 
 SMALL_GRID_JSON = """\
@@ -58,7 +58,7 @@ SMALL_GRID_JSON = """\
       "passed": true
     },
     {
-      "detail": "(2, 3, 2, 2):S3=3, (2, 3, 2, 2):S4=33, (3, 2, 1, 1):S3=10, (3, 2, 1, 1):S4=52, (3, 5, 2, 1):S3=1, (3, 5, 2, 1):S4=1, (4, 3, 2, 1):S3=27; skipped over budget: (4, 3, 2, 1):S4",
+      "detail": "(2, 3, 2, 2):S3=3, (2, 3, 2, 2):S4=33, (3, 2, 1, 1):S3=10, (3, 2, 1, 1):S4=52, (3, 5, 2, 1):S3=1, (3, 5, 2, 1):S4=1, (4, 3, 2, 1):S3=27, (4, 3, 2, 1):S4=561",
       "name": "hom-counts",
       "passed": true
     },
@@ -71,7 +71,7 @@ SMALL_GRID_JSON = """\
 }
 """
 
-GATE_GRID_SHA256 = "be76dc4286aead2c7a69d64373d6010cab27bd921353b0ef1df21cd78a0aadf6"
+GATE_GRID_SHA256 = "b6e85b591d196d5b36885fb5539adea8a5ece40a9d180a3698966aae563ad8cc"
 
 
 def run_cli(capsys, *argv):
@@ -223,3 +223,38 @@ def test_text_output_names_a_failure(capsys, monkeypatch, quick_plain_checks):
     assert [flag for flag, _, _ in flags].count("PASS") == 9
     assert ("FAIL", "homology-grid", "planted failure at (3, 3, 1, 2)") in flags
     assert summary == "9/10 checks passed (failure)"
+
+
+def test_hom_counts_backtracks_only_on_the_cyclic_side(monkeypatch):
+    searched, fibred = [], []
+
+    def search(pres, elements, budget):
+        searched.append(pres)
+        return original_search(pres, elements, budget)
+
+    def fibred_count(*args):
+        fibred.append(args[:4])
+        return original_fibred(*args)
+
+    original_search, original_fibred = verify.count_homomorphisms, verify.count_seifert_homomorphisms
+    monkeypatch.setattr(verify, "count_homomorphisms", search)
+    monkeypatch.setattr(verify, "count_seifert_homomorphisms", fibred_count)
+    assert verify.check_hom_counts()[0]
+    points = [point for point in verify.HOM_COUNT_POINTS for _ in ("S3", "S4")]
+    assert searched == [seifert_cyclic_presentation(*point) for point in points]
+    assert fibred == points
+
+
+def test_a_small_budget_still_reports_skips(capsys, monkeypatch):
+    for attr in ("check_lens_closed_forms", "check_property_suite"):
+        monkeypatch.setattr(verify, attr, lambda *args: (True, "stand-in"))
+    code, out, err = run_cli(
+        capsys, "--json", "--budget", "1000", "verify-all", "--nmax", "2", "--pmax", "3", "--lmax", "2"
+    )
+    assert (code, err) == (0, "")
+    details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
+    # 24^3 (S4, three generators) and 6^4 (S3, four) are over 1000
+    assert details["hom-counts"] == (
+        "(2, 3, 2, 2):S3=3, (2, 3, 2, 2):S4=33, (3, 2, 1, 1):S3=10, (3, 5, 2, 1):S3=1; "
+        "skipped over budget: (3, 2, 1, 1):S4, (3, 5, 2, 1):S4, (4, 3, 2, 1):S3, (4, 3, 2, 1):S4"
+    )
