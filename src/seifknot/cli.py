@@ -105,6 +105,17 @@ def _group_payload(group) -> dict[str, Any]:
 MAX_ORDER_BITS = 10_000
 
 
+def _check_writable(group, label: str) -> None:
+    """Refuse a group with an invariant factor of more decimal digits than
+    Python writes, in JSON and text alike (4 300 by default, 0 for none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and group.torsion and group.torsion[-1] >= 10**limit:
+        raise ValueError(
+            f"{label} too large to write: an invariant factor of "
+            f"{group.torsion[-1].bit_length()} bits has over {limit} decimal digits"
+        )
+
+
 def _group_line(group) -> str:
     order = group.order()
     if order is None:
@@ -117,11 +128,11 @@ def _group_line(group) -> str:
     return f"{group} ({size})"
 
 
-# Largest presentations `present`, `tietze` and `homology` build. The
+# Largest presentations `present`, `tietze` and `homology` read. The
 # cyclic presentation has n relators of n*l syllables each, the standard
-# one at most 7n + 8 syllables in all. At the cap a command takes about a
-# second; `homology` builds no relation matrix, its time is linear in the
-# syllables (2-vCPU Xeon).
+# one at most 7n + 8 syllables in all; `homology cyclic` reads only the
+# defining word but is held to the presentation's n*n*l. At the cap a
+# command takes about a second (2-vCPU Xeon).
 MAX_RELATOR_SYLLABLES = 300_000
 
 # Most cells x bits of the largest entry (at least 1) `homology matrix`
@@ -153,15 +164,19 @@ _MOVE_JSON = (
 )
 
 
+def _refuse_over(size: int, cap: int, what: str, hint: str = "") -> None:
+    """Refuse an input whose size exceeds a cap before any work; `what`
+    names the input and its size."""
+    if size > cap:
+        raise ValueError(f"{what} exceed the cap of {cap}{hint}")
+
+
 def _check_presentation_size(args: argparse.Namespace, forms: Sequence[str]) -> None:
     validate_seifert_params(args.n, args.p, args.q, args.l)  # the real fault first
     n, l = args.n, args.l
     syllables = sum(n * n * l if form == "cyclic" else 7 * n + 8 for form in forms)
-    if syllables > MAX_RELATOR_SYLLABLES:
-        raise ValueError(
-            f"presentation too large: {syllables} relator syllables exceed the "
-            f"cap of {MAX_RELATOR_SYLLABLES}"
-        )
+    what = f"presentation too large: {syllables} relator syllables"
+    _refuse_over(syllables, MAX_RELATOR_SYLLABLES, what)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -212,21 +227,19 @@ def cmd_homology(args: argparse.Namespace) -> int:
         rows = _load_int_matrix(args.file)
         bits = max([1] + [x.bit_length() for row in rows for x in row])
         size = len(rows) * len(rows[0]) * bits
-        if size > MAX_MATRIX_BITS:
-            raise ValueError(
-                f"matrix too large: {len(rows)} x {len(rows[0])} cells x {bits} "
-                f"bits = {size} exceed the cap of {MAX_MATRIX_BITS}"
-            )
+        what = f"matrix too large: {len(rows)} x {len(rows[0])} cells x {bits} bits = {size}"
+        _refuse_over(size, MAX_MATRIX_BITS, what)
         group = cokernel(rows, len(rows[0]))
         label = "cokernel"
     else:
         _check_presentation_size(args, (args.source,))
         params = (args.n, args.p, args.q, args.l)
         if args.source == "cyclic":
-            group = cyclic_h1(seifert_cyclic_presentation(*params))
+            group = cyclic_h1(seifert_word(*params))
         else:
             group = standard_h1(standard_seifert_presentation(*params))
         label = "H1"
+    _check_writable(group, label)
     _emit(args, _group_payload(group), f"{label} = {_group_line(group)}")
     return 0
 
@@ -272,11 +285,8 @@ def cmd_knot(args: argparse.Namespace) -> int:
         _emit(args, data, "\n".join([f"start  {k}", *lines, f"result {lens_name(lens)}"]))
         return 0
     total = sum(runs for _, runs, _ in trace)
-    if total > MAX_TRACE_MOVES:
-        raise ValueError(
-            f"trace too long: {total} moves exceed the cap of {MAX_TRACE_MOVES}; "
-            "--runs prints it in at most four runs"
-        )
+    hint = "; --runs prints it in at most four runs"
+    _refuse_over(total, MAX_TRACE_MOVES, f"trace too long: {total} moves", hint)
     moves = _one_step_moves(trace)
     if args.json:
         data["moves"] = None
@@ -317,11 +327,7 @@ MAX_GLUED_SLOTS = 1_000_000
 
 def _check_glued_slots(n: int, cycle_length: int) -> None:
     slots = n * cycle_length
-    if slots > MAX_GLUED_SLOTS:
-        raise ValueError(
-            f"diagram too large: {slots} glued slots n(2a+b+c) exceed the "
-            f"cap of {MAX_GLUED_SLOTS}"
-        )
+    _refuse_over(slots, MAX_GLUED_SLOTS, f"diagram too large: {slots} glued slots n(2a+b+c)")
 
 
 def cmd_dunwoody(args: argparse.Namespace) -> int:
@@ -371,11 +377,8 @@ def cmd_alexander(args: argparse.Namespace) -> int:
     else:
         pres = Presentation.from_dict(_load_json(args.presentation))
         letters = sum(len(r) for r in pres.relators)
-        if letters > MAX_RELATOR_LETTERS:
-            raise ValueError(
-                f"presentation too large: {letters} relator letters exceed the "
-                f"cap of {MAX_RELATOR_LETTERS}"
-            )
+        what = f"presentation too large: {letters} relator letters"
+        _refuse_over(letters, MAX_RELATOR_LETTERS, what)
     delta = alexander_polynomial(pres)
     det_text = str(abs(delta(-1)))
     data = {
@@ -397,23 +400,19 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         budget=args.budget,
     )
     all_passed = all(r.passed for r in results)
-    if args.json:
-        payload = {
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-            "all_passed": all_passed,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for r in results:
-            flag = "PASS" if r.passed else "FAIL"
-            print(f"{flag} {r.name} ({r.seconds:.2f}s): {r.detail}")
-        print(
-            f"{sum(r.passed for r in results)}/{len(results)} checks passed"
-            + ("" if all_passed else " (failure)")
-        )
+    data = {
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+        "all_passed": all_passed,
+    }
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.seconds:.2f}s): {r.detail}"
+        for r in results
+    ]
+    lines.append(
+        f"{sum(r.passed for r in results)}/{len(results)} checks passed"
+        + ("" if all_passed else " (failure)")
+    )
+    _emit(args, data, "\n".join(lines))
     return 0 if all_passed else 1
 
 

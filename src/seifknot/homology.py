@@ -9,9 +9,10 @@ that the Alexander polynomial needs, and resultants for the circulant
 shortcut that computes the abelianization order of a cyclic presentation
 straight from the exponent vector of its defining word. `seifert_h1` is
 the Seifert family's H1 in closed form, for the Smith forms to meet;
-`cyclic_h1` and `standard_h1` reduce either presentation to c*J + d*P,
+`cyclic_h1` reads the cyclic presentation's defining word and
+`standard_h1` the standard presentation; each reduces to c*J + d*P,
 whose cokernel `cokernel_cj_dp` gives in closed form, in time linear in
-the presentation.
+what it reads.
 """
 
 from __future__ import annotations
@@ -299,24 +300,21 @@ def cokernel_cj_dp(n: int, c: int, d: int) -> AbelianGroup:
     return AbelianGroup(orders.count(0), tuple(t for t in orders if t > 1))
 
 
-def cyclic_h1(pres: Presentation) -> AbelianGroup:
-    """H1 of a cyclic presentation in time linear in its syllables, by
-    `cokernel_cj_dp`: relator k must be relator 0 shifted by k, and the
-    exponent sums of relator 0 constant c but for one entry c + d, so the
-    relation matrix is c*J + d*P, P a cyclic shift (for the Seifert word,
-    ql*J - p*C). A failed premise raises ValueError."""
-    n = pres.num_generators
-    rows = [r.exponent_vector() for r in pres.relators]
-    if n < 2 or len(rows) != n:
-        raise ValueError("need n >= 2 generators and one relator per generator")
-    first = rows[0]
-    for k, row in enumerate(rows):
-        if row != first[n - k :] + first[: n - k]:
-            raise ValueError(f"relator {k} is not relator 0 shifted by {k}")
+def cyclic_h1(w: FreeWord) -> AbelianGroup:
+    """H1 of the cyclic presentation with defining word w, in time linear
+    in w: its relation matrix is the circulant whose first row is w's
+    exponent vector. That row must be constant c but for one entry c + d,
+    so the matrix is c*J + d*P, P a cyclic shift (for the Seifert word,
+    ql*J - p*C), which goes to `cokernel_cj_dp`. A failed premise raises
+    ValueError."""
+    n = w.n
+    if n < 2:
+        raise ValueError("need n >= 2 generators")
+    first = w.exponent_vector()
     c = first[1] if n > 2 and first[0] not in first[1:3] else first[0]
     odd = [x - c for x in first if x != c]
     if len(odd) > 1:
-        raise ValueError("relator 0's exponent sums are not constant but for one")
+        raise ValueError("the word's exponent sums are not constant but for one")
     return cokernel_cj_dp(n, c, sum(odd))
 
 

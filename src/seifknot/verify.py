@@ -428,7 +428,7 @@ def run_all(
         ("diagram-grid", _diagram_at, lambda: (
             True, f"{len(grid)} diagrams, all (1,n,n,1) with matching relators")),
         ("identification-rules", _identification_at, lambda: (
-            True, f"{aligned} aligned-branch points, partitions identical")),
+            True, f"{aligned} aligned-branch points, slot pairs identical")),
         ("lens-closed-forms", None, check_lens_closed_forms),
         ("parameter-consistency", _cover_at, lambda: _coincident_pairs(grid)),
         ("determinant-bridge", None, check_determinant_bridge),

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 from seifknot import cli
 from seifknot.cli import build_parser, main
+from seifknot.homology import AbelianGroup
 from seifknot.verify import GATE_GRID
 
 
@@ -68,6 +70,36 @@ def test_homology_writes_a_long_order_as_a_product(capsys):
     assert (code, err) == (0, "")
     assert out.endswith(" + Z/3 + Z/27009 (order 3^9004 * 27009)\n")
     assert out.count("Z/3 +") == 9004
+
+
+@pytest.mark.parametrize("source", ["cyclic", "standard"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_homology_refuses_a_factor_too_long_to_write(capsys, source, flags):
+    # H1 = Z/(P(P - 4)): 8 801 decimal digits at P = 10^2200 + 1, more than
+    # Python writes; 8 001 at P = 10^2000 + 1, which still prints
+    big = 10**2200 + 1
+    code, out, err = run_cli(capsys, *flags, "homology", source, "2", str(big), "1", "2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: H1 too large to write: an invariant factor of 14617 bits "
+        "has over 4300 decimal digits\n"
+    )
+    p = 10**2000 + 1
+    code, out, err = run_cli(capsys, *flags, "homology", source, "2", str(p), "1", "2")
+    assert (code, err) == (0, "")
+    if flags:
+        assert json.loads(out) == {"rank": 0, "torsion": [p * (p - 4)]}
+        assert len(out) == 4041
+    else:
+        assert out == f"H1 = Z/{p * (p - 4)} (order {p * (p - 4)})\n"
+
+
+def test_writable_factors_end_at_the_interpreters_digit_limit(monkeypatch):
+    cli._check_writable(AbelianGroup(0, (10**4300 - 1,)), "H1")  # 4 300 digits
+    with pytest.raises(ValueError, match="has over 4300 decimal digits"):
+        cli._check_writable(AbelianGroup(0, (10**4300,)), "H1")
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+    cli._check_writable(AbelianGroup(0, (10**4300,)), "H1")
 
 
 def test_homology_matrix_file(tmp_path, capsys):
@@ -477,7 +509,7 @@ def test_presentation_size_caps(capsys, monkeypatch, command, message):
     def no_work(*args):
         raise AssertionError("a presentation or diagram over the cap was built")
 
-    for name in ("seifert_cyclic_presentation", "standard_seifert_presentation",
+    for name in ("seifert_cyclic_presentation", "standard_seifert_presentation", "seifert_word",
                  "tietze_witnesses", "check_seifert_diagram"):
         monkeypatch.setattr(cli, name, no_work)
     code, out, err = run_cli(capsys, *command.split())
@@ -492,7 +524,8 @@ def test_presentation_size_caps_are_inclusive(capsys, monkeypatch):
         built.append(args)
         raise ValueError("stop")
 
-    for name in ("seifert_cyclic_presentation", "standard_seifert_presentation", "tietze_witnesses"):
+    for name in ("seifert_cyclic_presentation", "standard_seifert_presentation", "seifert_word",
+                 "tietze_witnesses"):
         monkeypatch.setattr(cli, name, record)
     for command in (
         "present 3 7 2 33333 --form cyclic",  # 299997 syllables
@@ -563,3 +596,48 @@ print(len(refs), sum(ref() is not None for ref in refs))
     assert proc.returncode == 0, proc.stderr
     classes, alive = map(int, proc.stdout.split())
     assert classes > 10 and alive == 0
+
+
+SEIFERT_POINTS = ["3 2 1 1", "2 3 2 2", "4 5 2 1", "2 4 1 2", "3 4 2 1"]  # last invalid
+KNOTS = ["1 2 3 4", "3 4 4 3", "1 3 1 2", "2 3 1 3", "2 2 2 2", "2 4 0 2", "1 2 3 0", "0 0 0 0"]
+
+# (arguments, stdin) of single-point commands: valid, rejected and
+# unsupported inputs, and one input over each of the five caps
+SINGLE_POINT_SWEEP = [
+    *[(f"present {point} --form {form}", None)
+      for point in SEIFERT_POINTS for form in ("cyclic", "standard", "both")],
+    *[(f"{command} {point}", None)
+      for command in ("tietze", "knot from-seifert", "homology cyclic", "homology standard")
+      for point in SEIFERT_POINTS],
+    *[(f"homology {source} {point}", None)
+      for source in ("cyclic", "standard") for point in ("150 7 2 3", "40 5 2 1", "5 5 1 1")],
+    ("homology standard 9006 3 1 1", None),  # an order written as a product
+    *[(f"knot {action} {knot}", None)
+      for action in ("ambient", "reduce", "reduce --runs") for knot in KNOTS],
+    *[(f"dunwoody check {point}{edges}", None)
+      for point in SEIFERT_POINTS for edges in ("", " --edges")],
+    *[(f"dunwoody raw {diagram}{edges}", None)
+      for diagram in ("1 1 1 3 2 0", "1 2 0 3 1 1", "2 1 1 2 0 0")
+      for edges in ("", " --edges")],
+    ("homology matrix -", "[[2, 4], [6, 8]]"),
+    ("alexander --example", None),
+    ("present 3 7 2 33334 --form cyclic", None),
+    ("homology matrix -", json.dumps([[0] * 10_001])),
+    ("knot reduce 300001 0 1 300001", None),
+    ("dunwoody raw 1 1 1 250001 2 0", None),
+    ("alexander --presentation -",
+     json.dumps({"generators": ["x", "y"], "relators": ["x^500 y x^-500 y^-1"]})),
+]
+
+SINGLE_POINT_SHA256 = "8946a98548eeedb08908bc1a212afb31632e035ae17fe7e6efbdf47a2fbb77fb"
+
+
+def test_single_point_commands_are_pinned(capsys, monkeypatch):
+    digest = hashlib.sha256()
+    for command, stdin in SINGLE_POINT_SWEEP:
+        for prefix in ([], ["--json"]):
+            argv = prefix + command.split()
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+            code, out, err = run_cli(capsys, *argv)
+            digest.update(json.dumps([argv, stdin, code, out, err]).encode() + b"\n")
+    assert digest.hexdigest() == SINGLE_POINT_SHA256

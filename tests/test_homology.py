@@ -241,7 +241,7 @@ def test_cokernel_cj_dp_matches_dense_cokernel():
     with pytest.raises(ValueError, match="need n >= 2"):
         cokernel_cj_dp(1, 2, 3)
     with pytest.raises(ValueError, match="need n >= 2"):
-        cyclic_h1(Presentation(("x1",), (FreeWord(1, [(1, 2)]),)))
+        cyclic_h1(FreeWord(1, [(1, 2)]))
 
 
 def _large_points():
@@ -265,7 +265,7 @@ def test_linear_routes_match_dense_smith_forms(points):
         cyclic = seifert_cyclic_presentation(*point)
         standard = standard_seifert_presentation(*point)
         closed = seifert_h1(*point)
-        assert cyclic_h1(cyclic) == first_homology(cyclic) == closed, point
+        assert cyclic_h1(seifert_word(*point)) == first_homology(cyclic) == closed, point
         assert standard_h1(standard) == first_homology(standard) == closed, point
 
 
@@ -293,13 +293,9 @@ def test_standard_route_refuses_a_failed_premise(index, relator, premise):
 
 
 def test_cyclic_route_refuses_a_failed_premise():
-    pres = seifert_cyclic_presentation(4, 5, 2, 1)  # rotations of (2, 2, 2, -3)
-    with pytest.raises(ValueError, match="relator 2 is not relator 0 shifted by 2"):
-        cyclic_h1(_with_relator(pres, 2, [(1, 2), (2, 2), (3, 2), (4, -3)]))
-    word = FreeWord(4, [(1, 2), (2, 2), (3, 3), (4, -3)])
-    rotations = Presentation(pres.generators, tuple(word.shift(k) for k in range(4)))
+    word = FreeWord(4, [(1, 2), (2, 2), (3, 3), (4, -3)])  # exponent sums (2, 2, 3, -3)
     with pytest.raises(ValueError, match="not constant but for one"):
-        cyclic_h1(rotations)
+        cyclic_h1(word)
 
 
 def test_linear_routes_build_no_dense_matrix(monkeypatch, capsys):
@@ -315,6 +311,18 @@ def test_linear_routes_build_no_dense_matrix(monkeypatch, capsys):
         assert main(["--json", "homology", source, "150", "7", "2", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out == {"rank": h1.rank, "torsion": list(h1.torsion)}
+
+
+def test_cyclic_route_builds_no_presentation(monkeypatch, capsys):
+    def built(*args):
+        raise AssertionError("a presentation was built")
+
+    monkeypatch.setattr(Presentation, "__post_init__", built)
+    with pytest.raises(AssertionError):  # the patch is in place
+        seifert_cyclic_presentation(3, 2, 1, 1)
+    assert main(["--json", "homology", "cyclic", "150", "7", "2", "3"]) == 0
+    h1 = seifert_h1(150, 7, 2, 3)
+    assert json.loads(capsys.readouterr().out) == {"rank": h1.rank, "torsion": list(h1.torsion)}
 
 
 def test_resultant_pinned():

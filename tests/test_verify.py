@@ -38,7 +38,7 @@ SMALL_GRID_JSON = """\
       "passed": true
     },
     {
-      "detail": "9 aligned-branch points, partitions identical",
+      "detail": "9 aligned-branch points, slot pairs identical",
       "name": "identification-rules",
       "passed": true
     },
@@ -71,7 +71,7 @@ SMALL_GRID_JSON = """\
 }
 """
 
-GATE_GRID_SHA256 = "b6e85b591d196d5b36885fb5539adea8a5ece40a9d180a3698966aae563ad8cc"
+GATE_GRID_SHA256 = "9615d1e3cec6e9baffe7867de31944243376a230c9b65de3c56c904518697cab"
 
 
 def run_cli(capsys, *argv):
