@@ -16,7 +16,7 @@ from typing import Any, Sequence
 
 from .dunwoody import DiagramParams, GluedDiagram, check_seifert_diagram
 from .foxcalc import alexander_polynomial, example_knot_presentation
-from .freegroup import seifert_word
+from .freegroup import clip, read_int, seifert_word
 from .homology import cokernel, cyclic_h1, standard_h1
 from .knots11 import (
     KnotParams,
@@ -51,14 +51,19 @@ MAX_JSON_DEPTH = 100
 
 
 def _load_json(path: str) -> Any:
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     try:
-        if path == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+        data = json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer int() refuses; parse again to name it
+        data = json.loads(text, parse_int=lambda digits: read_int(digits, "JSON integer"))
     # the lists and objects at each level in turn, without recursion
     level = [data] if isinstance(data, (list, dict)) else []
     for _ in range(MAX_JSON_DEPTH):
@@ -69,10 +74,6 @@ def _load_json(path: str) -> Any:
     if level:
         raise ValueError("JSON nested too deeply")
     return data
-
-
-# Most characters of a rejected matrix entry that an error message quotes
-MAX_ENTRY_ECHO = 40
 
 
 def _load_int_matrix(path: str) -> list[list[int]]:
@@ -88,10 +89,7 @@ def _load_int_matrix(path: str) -> list[list[int]]:
     for row in rows:
         for x in row:
             if type(x) is not int:  # bool is a subclass of int
-                text = json.dumps(x)
-                if len(text) > MAX_ENTRY_ECHO:
-                    text = text[: MAX_ENTRY_ECHO - 3] + "..."
-                raise ValueError(f"matrix entry {text} is not an integer")
+                raise ValueError(f"matrix entry {clip(json.dumps(x))} is not an integer")
     return rows
 
 
@@ -376,7 +374,8 @@ def cmd_alexander(args: argparse.Namespace) -> int:
         pres = example_knot_presentation()
     else:
         pres = Presentation.from_dict(_load_json(args.presentation))
-        letters = sum(len(r) for r in pres.relators)
+        # len() of a word fails past sys.maxsize letters
+        letters = sum(abs(e) for r in pres.relators for _, e in r.syllables)
         what = f"presentation too large: {letters} relator letters"
         _refuse_over(letters, MAX_RELATOR_LETTERS, what)
     delta = alexander_polynomial(pres)
@@ -419,18 +418,27 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+def _int_arg(text: str) -> int:
+    """int(text), for every integer argument: a rejected value is quoted
+    as argparse quotes it, but clipped."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)!r}") from None
+
+
 def _add_seifert_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("n", type=int, help="number of cyclic symmetries")
-    sub.add_argument("p", type=int, help="exceptional fiber order")
-    sub.add_argument("q", type=int, help="exceptional fiber twist, coprime to p")
-    sub.add_argument("l", type=int, help="extra fiber parameter")
+    sub.add_argument("n", type=_int_arg, help="number of cyclic symmetries")
+    sub.add_argument("p", type=_int_arg, help="exceptional fiber order")
+    sub.add_argument("q", type=_int_arg, help="exceptional fiber twist, coprime to p")
+    sub.add_argument("l", type=_int_arg, help="extra fiber parameter")
 
 
 def _add_knot_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("a", type=int, help="outer band strands")
-    sub.add_argument("b", type=int, help="middle band strands")
-    sub.add_argument("c", type=int, help="crossing strands")
-    sub.add_argument("r", type=int, help="twist (mod 2a+b+c)")
+    sub.add_argument("a", type=_int_arg, help="outer band strands")
+    sub.add_argument("b", type=_int_arg, help="middle band strands")
+    sub.add_argument("c", type=_int_arg, help="crossing strands")
+    sub.add_argument("r", type=_int_arg, help="twist (mod 2a+b+c)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,11 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit stable JSON instead of text"
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized checks"
+        "--seed", type=_int_arg, default=0, help="seed for randomized checks"
     )
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_int_arg,
         default=DEFAULT_BUDGET,
         help="enumeration budget for homomorphism counting",
     )
@@ -507,12 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seifert_args(dcheck)
     dcheck.add_argument("--edges", action="store_true", help="list edge classes")
     draw = dsub.add_parser("raw", help="glue an arbitrary diagram")
-    draw.add_argument("a", type=int)
-    draw.add_argument("b", type=int)
-    draw.add_argument("c", type=int)
-    draw.add_argument("n", type=int)
-    draw.add_argument("r", type=int)
-    draw.add_argument("s", type=int, choices=(0, 1))
+    draw.add_argument("a", type=_int_arg)
+    draw.add_argument("b", type=_int_arg)
+    draw.add_argument("c", type=_int_arg)
+    draw.add_argument("n", type=_int_arg)
+    draw.add_argument("r", type=_int_arg)
+    draw.add_argument("s", type=_int_arg, choices=(0, 1))
     draw.add_argument("--edges", action="store_true", help="list edge classes")
     dunwoody.set_defaults(func=cmd_dunwoody)
 
@@ -532,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify-all", help="run every built-in check")
     for flag, default in zip(("--nmax", "--pmax", "--lmax"), GATE_GRID):
-        verify.add_argument(flag, type=int, default=default)
+        verify.add_argument(flag, type=_int_arg, default=default)
     verify.set_defaults(func=cmd_verify_all)
 
     return parser

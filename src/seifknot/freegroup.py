@@ -9,6 +9,7 @@ the usual notation for cyclic shifts.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -174,6 +175,25 @@ def format_word(w: FreeWord, names: Sequence[str] | None = None) -> str:
     return " ".join(parts)
 
 
+# Most characters of a rejected input that an error message quotes
+MAX_ENTRY_ECHO = 40
+
+
+def clip(text: str) -> str:
+    """text cut to MAX_ENTRY_ECHO characters, ending in "..." if cut."""
+    return text if len(text) <= MAX_ENTRY_ECHO else text[: MAX_ENTRY_ECHO - 3] + "..."
+
+
+def read_int(digits: str, what: str) -> int:
+    """int() of a well-formed integer text. One of more digits than the
+    interpreter reads is refused, naming `what` and quoting it clipped."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{what} {clip(digits)} has over {limit} digits") from None
+
+
 # the only syllable texts format_word writes, in ASCII digits
 _EXPONENT = re.compile("-?[1-9][0-9]*")
 _GENERATOR = re.compile("x[1-9][0-9]*")
@@ -199,16 +219,16 @@ def parse_word(text: str, n: int, names: Sequence[str] | None = None) -> FreeWor
         if not caret:
             exp = 1
         elif _EXPONENT.fullmatch(exp_text):
-            exp = int(exp_text)
+            exp = read_int(exp_text, "exponent")
         else:
-            raise ValueError(f"bad exponent in syllable {chunk!r}")
+            raise ValueError(f"bad exponent in syllable {clip(chunk)!r}")
         if names is not None:
             if base not in index:
-                raise ValueError(f"unknown generator {base!r}")
+                raise ValueError(f"unknown generator {clip(base)!r}")
             gen = index[base]
         else:
             if not _GENERATOR.fullmatch(base):
-                raise ValueError(f"unknown generator {base!r}")
+                raise ValueError(f"unknown generator {clip(base)!r}")
             gen = int(base[1:])
         syllables.append((gen, exp))
     return FreeWord(n, syllables)

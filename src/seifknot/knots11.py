@@ -108,63 +108,57 @@ def band_swap(k: KnotParams) -> KnotParams:
 Trace = list[tuple[str, int, KnotParams]]
 
 
-def _with_twist(k: KnotParams, r: int) -> KnotParams:
-    return KnotParams(k.a, k.b, k.c, r)
+def _family(k: KnotParams) -> int:
+    """Index of the first reducible twist family k lies in: 0 for residue
+    a, 1 for residue a + c (only when a > 0), 2 for residue a + b + c."""
+    m, t = k.period, k.twist
+    if t == k.a % m:
+        return 0
+    if k.a > 0 and t == (k.a + k.c) % m:
+        return 1
+    if t == (k.a + k.b + k.c) % m:
+        return 2
+    raise UnsupportedTwist(
+        f"twist {t} mod {m} is not one of a, a+c, a+b+c for {k}"
+    )
 
 
-def _single_band(k: KnotParams, trace: Trace) -> tuple[tuple[int, int], Trace]:
+def _step(label: str, c: int) -> tuple[int, int, int, int]:
+    """One move's change to (a, b, c, r) when c strands cross: I takes c
+    off a and r, III moves a strand of a and one of c into b, IV takes one
+    off b, c and r. A swap is a single move, recorded once made, so its
+    step is zero."""
+    return {
+        "I": (-c, 0, 0, -c),
+        "III": (-1, 1, -1, -1),
+        "IV": (0, -1, -1, -1),
+    }.get(label, (0, 0, 0, 0))
+
+
+def _run(trace: Trace, label: str, runs: int, k: KnotParams) -> KnotParams:
+    """Record `runs` moves `label` from k as one run; return its end."""
+    da, db, dc, dr = _step(label, k.c)
+    if da or db:  # not a swap, which is made before it is recorded
+        k = KnotParams(k.a + runs * da, k.b + runs * db, k.c + runs * dc, k.r + runs * dr)
+    trace.append((label, runs, k))
+    return k
+
+
+def _single_band(k: KnotParams, trace: Trace) -> tuple[int, int]:
     """Euclid on K(a, 0, c, a): move I takes a to a - c while a >= c, so
     one division step stands for a // c moves; gcd(a, c) is invariant."""
-    if k.a and k.c and k.a >= k.c:
-        runs, rest = divmod(k.a, k.c)
-        k = KnotParams(rest, 0, k.c, rest)
-        trace.append(("I", runs, k))
-    if k.a == 0:
-        return normalize_lens(k.c, 0), trace
-    if k.c == 0:
-        return normalize_lens(0, k.a), trace
-    return normalize_lens(k.c, k.a), trace
-
-
-def _reduce_aligned(k: KnotParams, trace: Trace) -> tuple[tuple[int, int], Trace]:
-    """Twist residue a: move III shrinks the outer and crossing bands into
-    the middle one strand at a time, min(a, c) times while b > 0.
-
-    "Aligned" here names the residue, not verify's aligned branch p >= 2q:
-    that branch has residue a + c, which `_reduce_crossed` reduces (only at
-    p = 2q, where c = 0, does it land here)."""
-    runs = min(k.a, k.c) if k.b else 0
-    if runs:
-        a = k.a - runs
-        k = KnotParams(a, k.b + runs, k.c - runs, a)
-        trace.append(("III", runs, k))
-    if k.b > 0:
-        if k.a == 0:
-            return normalize_lens(k.b + k.c, k.b), trace
-        k = band_swap(k)
-        trace.append(("swap0", 1, k))
-    return _single_band(k, trace)
-
-
-def _reduce_crossed(k: KnotParams, trace: Trace) -> tuple[tuple[int, int], Trace]:
-    """Twist residue a + c: move IV cancels each crossing strand against a
-    middle one, c times in all. This is the residue of verify's aligned
-    branch p >= 2q (shift 0) whenever c > 0."""
-    if k.c > k.b:
-        k = swap(k)
-        trace.append(("swap", 1, k))
-    if k.c > 0:
-        runs = k.c
-        k = KnotParams(k.a, k.b - runs, 0, k.r - runs)
-        trace.append(("IV", runs, k))
-    if k.b > 0:
-        k = band_swap(k)
-        trace.append(("swap0", 1, k))
-    return _single_band(k, trace)
+    if k.c and k.a >= k.c:
+        k = _run(trace, "I", k.a // k.c, k)
+    return normalize_lens(k.c, k.a)
 
 
 def reduce_to_lens(k: KnotParams) -> tuple[tuple[int, int], Trace]:
     """Run the diagram moves until the underlying space is a lens space.
+
+    Residue a + b + c swaps into residue a. On residue a, move III shrinks
+    the outer and crossing bands into the middle one, min(a, c) times while
+    b > 0; on residue a + c, move IV cancels each crossing strand against
+    a middle one. An emptied band is then swapped out and Euclid finishes.
 
     Returns the normalized lens tuple and the move trace as runs (label,
     multiplicity, state after the run); there are at most four runs.
@@ -173,37 +167,34 @@ def reduce_to_lens(k: KnotParams) -> tuple[tuple[int, int], Trace]:
     condition fails. The multiplicities never sum to more than
     a + b + c + 2 moves.
     """
-    m = k.period
-    t = k.twist
+    family = _family(k)
     trace: Trace = []
-    if t == k.a % m:
-        return _reduce_aligned(_with_twist(k, k.a), trace)
-    if k.a > 0 and t == (k.a + k.c) % m:
-        return _reduce_crossed(_with_twist(k, k.a + k.c), trace)
-    if t == (k.a + k.b + k.c) % m:
-        k = swap(_with_twist(k, k.a + k.b + k.c))
-        trace.append(("swap", 1, k))
-        return _reduce_aligned(k, trace)
-    raise UnsupportedTwist(
-        f"twist {t} mod {m} is not one of a, a+c, a+b+c for {k}"
-    )
+    k = KnotParams(k.a, k.b, k.c, (k.a, k.a + k.c, k.a + k.b + k.c)[family])
+    if family == 2:
+        k = _run(trace, "swap", 1, swap(k))
+    if family == 1:
+        if k.c > k.b:
+            k = _run(trace, "swap", 1, swap(k))
+        if k.c:
+            k = _run(trace, "IV", k.c, k)
+    elif k.b and min(k.a, k.c):
+        k = _run(trace, "III", min(k.a, k.c), k)
+    if k.b:
+        if not k.a:
+            return normalize_lens(k.b + k.c, k.b), trace
+        k = _run(trace, "swap0", 1, band_swap(k))
+    return _single_band(k, trace), trace
 
 
 def _one_step_moves(trace: Trace) -> Iterator[tuple[str, tuple[int, int, int, int]]]:
     """The moves of a run-length trace one at a time, as (label, (a, b, c,
     r) after the move). The j-th move before a run's end is its recorded
-    state with the run's per-move change undone j times."""
+    state with the run's `_step` undone j times."""
     for label, runs, end in trace:
         a, b, c, r = end.a, end.b, end.c, end.r
-        # one move I takes c off a (r follows a), III moves a strand of a and
-        # of c into b, IV takes one off b, c and r; a swap run is one move
-        da, db, dc, dr = {
-            "I": (c, 0, 0, c),
-            "III": (1, -1, 1, 1),
-            "IV": (0, 1, 1, 1),
-        }.get(label, (0, 0, 0, 0))
+        da, db, dc, dr = _step(label, c)
         for j in range(runs - 1, -1, -1):
-            yield label, (a + j * da, b + j * db, c + j * dc, r + j * dr)
+            yield label, (a - j * da, b - j * db, c - j * dc, r - j * dr)
 
 
 def lens_closed_form(k: KnotParams) -> tuple[int, int]:
@@ -215,17 +206,8 @@ def lens_closed_form(k: KnotParams) -> tuple[int, int]:
 
     The move-by-move reduction must agree with these on the nose.
     """
-    m = k.period
-    t = k.twist
-    if t == k.a % m:
-        return normalize_lens(k.b + k.c, k.a + k.b)
-    if k.a > 0 and t == (k.a + k.c) % m:
-        return normalize_lens(k.b - k.c, k.a)
-    if t == (k.a + k.b + k.c) % m:
-        return normalize_lens(k.b + k.c, k.a + k.c)
-    raise UnsupportedTwist(
-        f"twist {t} mod {m} is not one of a, a+c, a+b+c for {k}"
-    )
+    a, b, c = k.a, k.b, k.c
+    return normalize_lens(*((b + c, a + b), (b - c, a), (b + c, a + c))[_family(k)])
 
 
 # -- from Seifert parameters --------------------------------------------------

@@ -321,8 +321,8 @@ def _identification_at(at: _GridPoint) -> str | None:
     """On the aligned branch p >= 2q, the glued slot pairs are exactly the
     two closed-form families as a multiset of unordered pairs, none glued
     against its orientation. This branch (shift 0) has twist residue
-    a + c, which `knots11._reduce_crossed` reduces, not `_reduce_aligned`
-    (except at p = 2q, where c = 0)."""
+    a + c, which `knots11.reduce_to_lens` reduces by move IV; at p = 2q,
+    where c = 0, that residue is a and is reduced as residue a."""
     point = at.point
     if point[1] < 2 * point[2]:
         return None

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -116,8 +117,9 @@ def test_homology_matrix_file(tmp_path, capsys):
         ([[9] * 120] * 120, "120 x 120 cells x 4 bits = 57600"),
         ([[1] * 100] * 99 + [[1] * 99 + [2]], "100 x 100 cells x 2 bits = 20000"),
         ([[0] * 10_001], "1 x 10001 cells x 1 bits = 10001"),
+        ([[10**4299]], "1 x 1 cells x 14281 bits = 14281"),  # 4 300 digits are read
     ],
-    ids=["120x120", "one-wide-entry", "zeros"],
+    ids=["120x120", "one-wide-entry", "zeros", "digit-limit"],
 )
 def test_homology_matrix_cap(tmp_path, capsys, monkeypatch, rows, message):
     def no_work(*args):
@@ -205,6 +207,80 @@ def test_homology_matrix_rejects_non_integer_entries(tmp_path, capsys, rows, bad
     assert code == 1 and out == ""
     assert err.startswith("error: ") and bad in err
     assert err.count("\n") == 1 and len(err) < 100
+
+
+# 5 001 decimal digits, more than the interpreter's int() reads by default
+HUGE = "1" + "0" * 5000
+CLIPPED = "1" + "0" * 36 + "..."
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["homology", "matrix", "-"], f"[[{HUGE}]]",
+         f"JSON integer {CLIPPED} has over 4300 digits"),
+        (["homology", "matrix", "-"], f"[[1, -{HUGE}]]",
+         f"JSON integer -{CLIPPED[:-4]}... has over 4300 digits"),
+        (["alexander", "--presentation", "-"], f'{{"generators": ["x"], "relators": [{HUGE}]}}',
+         f"JSON integer {CLIPPED} has over 4300 digits"),
+        (["alexander", "--presentation", "-"],
+         json.dumps({"generators": ["x", "y"], "relators": [f"x^{HUGE} y"]}),
+         f"exponent {CLIPPED} has over 4300 digits"),
+    ],
+    ids=["matrix", "matrix-negative", "presentation-integer", "presentation-exponent"],
+)
+def test_integers_too_long_to_read_are_refused(capsys, monkeypatch, argv, stdin, message):
+    for prefix in ([], ["--json"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, *prefix, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("exponent", [10**20, 10**4299], ids=["past-maxsize", "digit-limit"])
+def test_a_long_exponent_is_counted_against_the_letter_cap(capsys, monkeypatch, exponent):
+    # len() of a word fails past sys.maxsize letters
+    pres = {"generators": ["x", "y"], "relators": [f"x^{exponent} y"]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(pres)))
+    code, out, err = run_cli(capsys, "alexander", "--presentation", "-")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: presentation too large: {exponent + 1} relator letters exceed the cap of 1000\n"
+    )
+
+
+def _usage_error(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["12x", "1.5", "", "x" * 40])
+def test_a_rejected_integer_argument_reads_as_argparse_writes_it(capsys, value):
+    # up to 40 characters, the message is argparse's own for type=int
+    oracle = argparse.ArgumentParser(prog="seifknot knot ambient")
+    for name in "abcr":
+        oracle.add_argument(name, type=int)
+    argv = ["1", "2", "3", value]
+    want = _usage_error(capsys, oracle.parse_args, argv)
+    assert want.endswith(f"error: argument r: invalid int value: {value!r}\n")
+    assert _usage_error(capsys, main, ["knot", "ambient", *argv]) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["knot", "ambient", "1", "2", "3", HUGE],
+        ["knot", "ambient", "1", "2", "3", "7" * 40 + "x"],
+        ["--seed", HUGE, "verify-all"],
+        ["dunwoody", "raw", "1", "1", "1", "3", "2", HUGE],
+    ],
+    ids=["knot-r", "knot-r-41", "seed", "raw-s"],
+)
+def test_a_rejected_integer_argument_is_quoted_clipped(capsys, argv):
+    value = max(argv, key=len)
+    err = _usage_error(capsys, main, argv)
+    assert err.endswith(f": invalid int value: '{value[:37]}...'\n")
 
 
 def test_knot_from_seifert(capsys):

@@ -119,6 +119,19 @@ def test_parse_rejects_garbage():
             parse_word(text, 2, ("x", "y"))
 
 
+def test_parse_quotes_a_rejected_syllable_clipped():
+    long = "7" * 60
+    cases = [
+        (f"x1^{long}x", f"bad exponent in syllable 'x1^{long[:34]}...'"),
+        (f"z{long}", f"unknown generator 'z{long[:36]}...'"),
+        (f"x1^{'1' * 5001}", f"exponent {'1' * 37}... has over 4300 digits"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError) as exc:
+            parse_word(text, 2, None if text.startswith("x") else ("x", "y"))
+        assert str(exc.value) == message
+
+
 def test_parse_format_round_trip():
     rng = random.Random(7)
     for _ in range(200):

@@ -174,6 +174,31 @@ def test_run_length_trace_expands_to_subtractive_trace():
     assert compared > 3500
 
 
+def test_every_unsupported_twist_is_refused_alike():
+    # every residue no family admits, on every strand triple up to 12;
+    # verify's lens-closed-forms check probes only the first per triple
+    refused = 0
+    for a in range(13):
+        for b in range(13):
+            for c in range(13):
+                if a + b + c == 0:
+                    continue
+                m = 2 * a + b + c
+                supported = _supported_residues(a, b, c)
+                for r in range(m):
+                    if r in supported:
+                        continue
+                    k = KnotParams(a, b, c, r)
+                    with pytest.raises(UnsupportedTwist) as engine:
+                        reduce_to_lens(k)
+                    with pytest.raises(UnsupportedTwist) as closed:
+                        lens_closed_form(k)
+                    message = f"twist {r} mod {m} is not one of a, a+c, a+b+c for {k}"
+                    assert str(engine.value) == str(closed.value) == message
+                    refused += 1
+    assert refused == 46_788
+
+
 def test_reduction_terminal_spheres():
     lens, _ = reduce_to_lens(KnotParams(1, 0, 0, 1))
     assert lens_name(lens) == "S^2 x S^1"
