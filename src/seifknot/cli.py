@@ -21,6 +21,7 @@ from .homology import cokernel, cyclic_h1, standard_h1
 from .knots11 import (
     KnotParams,
     _one_step_moves,
+    _step,
     knot_from_seifert,
     lens_closed_form,
     lens_name,
@@ -103,14 +104,21 @@ def _group_payload(group) -> dict[str, Any]:
 MAX_ORDER_BITS = 10_000
 
 
+def _writable(x: int) -> bool:
+    """Whether Python writes x in decimal: it writes no int of more digits
+    than sys.get_int_max_str_digits() (4 300 by default, 0 for no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return not limit or abs(x) < 10**limit
+
+
 def _check_writable(group, label: str) -> None:
     """Refuse a group with an invariant factor of more decimal digits than
-    Python writes, in JSON and text alike (4 300 by default, 0 for none)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and group.torsion and group.torsion[-1] >= 10**limit:
+    Python writes, in JSON and text alike."""
+    if group.torsion and not _writable(group.torsion[-1]):
         raise ValueError(
             f"{label} too large to write: an invariant factor of "
-            f"{group.torsion[-1].bit_length()} bits has over {limit} decimal digits"
+            f"{group.torsion[-1].bit_length()} bits has over "
+            f"{sys.get_int_max_str_digits()} decimal digits"
         )
 
 
@@ -148,33 +156,39 @@ MAX_MATRIX_BITS = 10_000
 MAX_RELATOR_LETTERS = 1_000
 
 # Most moves `knot reduce` lists one by one; `knot reduce --runs` prints
-# any reduction in at most four runs. At the cap the command takes under a
-# second and prints 28 MB of JSON (2-vCPU Xeon).
+# any reduction in at most four runs. At the cap `--json` takes about
+# 0.35 s in-process and prints 28 MB (2-vCPU Xeon).
 MAX_TRACE_MOVES = 300_000
 
 # One move as json.dumps(..., indent=2) writes it in the top-level "moves"
-# list (move labels are plain identifiers, so need no escaping). The
-# pure-Python indenting encoder takes several times as long on a long
-# trace, and writing move by move keeps no second copy of the output.
+# list, after the separator that goes before it (move labels are plain
+# identifiers, so need no escaping). The pure-Python indenting encoder
+# takes several times as long on a long trace; mapping this template over
+# a run's four axes writes the 34 515 moves of `knot reduce 34514 34515
+# 971 70000` in 27 ms in-process, against 48 ms for str.format on each
+# move of `_one_step_moves` (2-vCPU Xeon). One write per move keeps no
+# second copy of the output: joining moves into larger writes is faster
+# still, but holds more of the output in memory at once.
 _MOVE_JSON = (
-    '    [\n      "{}",\n      [\n        {},\n        {},\n        {},\n        {}\n'
+    '%s    [\n      "%s",\n      [\n        %d,\n        %d,\n        %d,\n        %d\n'
     "      ]\n    ]"
 )
 
 
 def _refuse_over(size: int, cap: int, what: str, hint: str = "") -> None:
     """Refuse an input whose size exceeds a cap before any work; `what`
-    names the input and its size."""
+    names the input, with {} where its size goes. A size of more digits
+    than Python writes is given as a power of two below it."""
     if size > cap:
-        raise ValueError(f"{what} exceed the cap of {cap}{hint}")
+        count = str(size) if _writable(size) else f"at least 2^{size.bit_length() - 1}"
+        raise ValueError(f"{what.format(count)} exceed the cap of {cap}{hint}")
 
 
 def _check_presentation_size(args: argparse.Namespace, forms: Sequence[str]) -> None:
     validate_seifert_params(args.n, args.p, args.q, args.l)  # the real fault first
     n, l = args.n, args.l
     syllables = sum(n * n * l if form == "cyclic" else 7 * n + 8 for form in forms)
-    what = f"presentation too large: {syllables} relator syllables"
-    _refuse_over(syllables, MAX_RELATOR_SYLLABLES, what)
+    _refuse_over(syllables, MAX_RELATOR_SYLLABLES, "presentation too large: {} relator syllables")
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -225,7 +239,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
         rows = _load_int_matrix(args.file)
         bits = max([1] + [x.bit_length() for row in rows for x in row])
         size = len(rows) * len(rows[0]) * bits
-        what = f"matrix too large: {len(rows)} x {len(rows[0])} cells x {bits} bits = {size}"
+        what = f"matrix too large: {len(rows)} x {len(rows[0])} cells x {bits} bits = {{}}"
         _refuse_over(size, MAX_MATRIX_BITS, what)
         group = cokernel(rows, len(rows[0]))
         label = "cokernel"
@@ -284,17 +298,27 @@ def cmd_knot(args: argparse.Namespace) -> int:
         return 0
     total = sum(runs for _, runs, _ in trace)
     hint = "; --runs prints it in at most four runs"
-    _refuse_over(total, MAX_TRACE_MOVES, f"trace too long: {total} moves", hint)
-    moves = _one_step_moves(trace)
+    _refuse_over(total, MAX_TRACE_MOVES, "trace too long: {} moves", hint)
     if args.json:
         data["moves"] = None
         head, tail = json.dumps(data, indent=2, sort_keys=True).split('"moves": null')
         write = sys.stdout.write
         write(head + '"moves": [')
-        for i, (label, state) in enumerate(moves):
-            write((",\n" if i else "\n") + _MOVE_JSON.format(label, *state))
+        # a run's moves step (a, b, c, r) by `_step` up to the recorded end,
+        # as `_one_step_moves` lists them
+        seps = itertools.chain(("\n",), itertools.repeat(",\n"))
+        for label, runs, end in trace:
+            if not runs:  # zip would still take a separator from seps
+                continue
+            axes = [
+                range(x - (runs - 1) * d, x + d, d) if d else itertools.repeat(x, runs)
+                for x, d in zip(_knot_payload(end), _step(label, end.c))
+            ]
+            for move in map(_MOVE_JSON.__mod__, zip(seps, itertools.repeat(label), *axes)):
+                write(move)
         write(("\n  ]" if total else "]") + tail + "\n")
         return 0
+    moves = _one_step_moves(trace)
     lines = [f"{label:>5}  K({a},{b},{c},{r})" for label, (a, b, c, r) in moves]
     print("\n".join([f"start  {k}", *lines, f"result {lens_name(lens)}"]))
     return 0
@@ -325,7 +349,7 @@ MAX_GLUED_SLOTS = 1_000_000
 
 def _check_glued_slots(n: int, cycle_length: int) -> None:
     slots = n * cycle_length
-    _refuse_over(slots, MAX_GLUED_SLOTS, f"diagram too large: {slots} glued slots n(2a+b+c)")
+    _refuse_over(slots, MAX_GLUED_SLOTS, "diagram too large: {} glued slots n(2a+b+c)")
 
 
 def cmd_dunwoody(args: argparse.Namespace) -> int:
@@ -376,8 +400,7 @@ def cmd_alexander(args: argparse.Namespace) -> int:
         pres = Presentation.from_dict(_load_json(args.presentation))
         # len() of a word fails past sys.maxsize letters
         letters = sum(abs(e) for r in pres.relators for _, e in r.syllables)
-        what = f"presentation too large: {letters} relator letters"
-        _refuse_over(letters, MAX_RELATOR_LETTERS, what)
+        _refuse_over(letters, MAX_RELATOR_LETTERS, "presentation too large: {} relator letters")
     delta = alexander_polynomial(pres)
     det_text = str(abs(delta(-1)))
     data = {
@@ -425,6 +448,15 @@ def _int_arg(text: str) -> int:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)!r}") from None
+
+
+def _bit_arg(text: str) -> int:
+    """0 or 1; any other integer is quoted as argparse quotes a rejected
+    choice, but clipped."""
+    value = _int_arg(text)
+    if value not in (0, 1):
+        raise argparse.ArgumentTypeError(f"invalid choice: {clip(str(value))} (choose from 0, 1)")
+    return value
 
 
 def _add_seifert_args(sub: argparse.ArgumentParser) -> None:
@@ -520,7 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     draw.add_argument("c", type=_int_arg)
     draw.add_argument("n", type=_int_arg)
     draw.add_argument("r", type=_int_arg)
-    draw.add_argument("s", type=_int_arg, choices=(0, 1))
+    # `choices` names the values in the usage line; _bit_arg refuses any
+    # other first, so argparse never quotes one whole
+    draw.add_argument("s", type=_bit_arg, choices=(0, 1))
     draw.add_argument("--edges", action="store_true", help="list edge classes")
     dunwoody.set_defaults(func=cmd_dunwoody)
 
@@ -546,9 +580,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first `main` call, not at import: building takes a few
+# milliseconds, more than most commands, and parsing leaves it unchanged.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -10,6 +10,7 @@ import pytest
 from seifknot import cli
 from seifknot.cli import build_parser, main
 from seifknot.homology import AbelianGroup
+from seifknot.knots11 import KnotParams, _one_step_moves, lens_name, reduce_to_lens
 from seifknot.verify import GATE_GRID
 
 
@@ -248,6 +249,31 @@ def test_a_long_exponent_is_counted_against_the_letter_cap(capsys, monkeypatch, 
     )
 
 
+NINES = "9" * 4300  # the most digits the interpreter's int() reads by default
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, size, what",
+    [
+        (["alexander", "--presentation", "-"],
+         json.dumps({"generators": ["x", "y"], "relators": [f"x^{NINES} y x^{NINES} y^-1"]}),
+         2 * int(NINES) + 2, "presentation too large: {} relator letters exceed the cap of 1000"),
+        (["present", NINES, "3", "2", NINES, "--form", "cyclic"], "",
+         int(NINES) ** 3, "presentation too large: {} relator syllables exceed the cap of 300000"),
+        (["dunwoody", "raw", "1", "1", "1", NINES, "2", "0"], "",
+         5 * int(NINES), "diagram too large: {} glued slots n(2a+b+c) exceed the cap of 1000000"),
+    ],
+    ids=["alexander-letters", "present-syllables", "dunwoody-slots"],
+)
+def test_a_size_too_long_to_write_is_refused_by_its_bit_length(capsys, monkeypatch, argv, stdin,
+                                                               size, what):
+    # each size has over 4 300 decimal digits, more than Python writes
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, *argv)
+    count = f"at least 2^{size.bit_length() - 1}"
+    assert (code, out, err) == (1, "", f"error: {what.format(count)}\n")
+
+
 def _usage_error(capsys, parse, argv):
     with pytest.raises(SystemExit) as exc:
         parse(argv)
@@ -281,6 +307,17 @@ def test_a_rejected_integer_argument_is_quoted_clipped(capsys, argv):
     value = max(argv, key=len)
     err = _usage_error(capsys, main, argv)
     assert err.endswith(f": invalid int value: '{value[:37]}...'\n")
+
+
+@pytest.mark.parametrize(
+    "value, quoted",
+    [("2", "2"), ("-07", "-7"), ("1" + "0" * 99, "1" + "0" * 36 + "...")],
+    ids=["small", "converted", "100-digits"],
+)
+def test_a_rejected_s_is_quoted_clipped(capsys, value, quoted):
+    err = _usage_error(capsys, main, ["dunwoody", "raw", "1", "1", "1", "3", "2", value])
+    assert err.endswith(f"error: argument s: invalid choice: {quoted} (choose from 0, 1)\n")
+    assert "{0,1}" in err.splitlines()[0]  # the usage line still names the choices
 
 
 def test_knot_from_seifert(capsys):
@@ -338,6 +375,58 @@ def test_knot_reduce_json_matches_indenting_encoder(capsys):
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     assert json.loads(out)["moves"]
+
+
+def _moves_by_encoder(knot, lens, trace):
+    data = {
+        "start": list(knot),
+        "lens": list(lens),
+        "name": lens_name(lens),
+        "moves": [[label, list(state)] for label, state in _one_step_moves(trace)],
+    }
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "knot",
+    [
+        (5, 0, 2, 5),  # residue a, b = 0: I x2
+        (8, 3, 2, 8),  # residue a: III x2, swap0, I
+        (2, 3, 5, 2),  # residue a: III x2 empties a, which ends it
+        (1, 4, 2, 3),  # residue a+c, c <= b: IV x2, swap0
+        (1, 2, 3, 4),  # residue a+c, c > b: swap, IV x2, swap0, I
+        (3, 7, 2, 12),  # residue a+b+c: swap, III x3
+        (0, 1, 0, 0),  # a trace of no moves
+        (34514, 34515, 971, 70000),  # residue a+b+c: swap, III x34514
+    ],
+)
+def test_knot_reduce_json_writes_each_move_as_the_encoder_does(capsys, knot):
+    lens, trace = reduce_to_lens(KnotParams(*knot))
+    code, out, err = run_cli(capsys, "--json", "knot", "reduce", *map(str, knot))
+    assert (code, err) == (0, "")
+    assert out == _moves_by_encoder(knot, lens, trace)
+
+
+def test_knot_reduce_json_writes_runs_of_no_moves(capsys, monkeypatch):
+    # reduce_to_lens records no empty run, but the writer must skip one
+    # wherever it stands, the first and the last run included
+    knot, lens = (5, 0, 2, 5), (2, 1)
+    traces = [
+        [
+            ("swap", 0, KnotParams(5, 0, 2, 5)),
+            ("I", 1, KnotParams(3, 0, 2, 3)),
+            ("III", 0, KnotParams(3, 0, 2, 3)),
+            ("I", 1, KnotParams(1, 0, 2, 1)),
+            ("IV", 0, KnotParams(1, 0, 2, 1)),
+        ],
+        [("I", 0, KnotParams(5, 0, 2, 5))],
+    ]
+    for trace, moves in zip(traces, (2, 0)):
+        monkeypatch.setattr(cli, "reduce_to_lens", lambda k, trace=trace: (lens, trace))
+        code, out, _ = run_cli(capsys, "--json", "knot", "reduce", *map(str, knot))
+        assert code == 0
+        assert out == _moves_by_encoder(knot, lens, trace)
+        assert len(json.loads(out)["moves"]) == moves
 
 
 def test_knot_reduce_move_cap(capsys):
@@ -622,6 +711,72 @@ def test_json_output_is_byte_stable(capsys):
 def test_verify_all_defaults_to_the_gate_grid():
     args = build_parser().parse_args(["verify-all"])
     assert (args.nmax, args.pmax, args.lmax) == GATE_GRID
+
+
+# calls that set, or leave at their defaults, every option a reused parser
+# could carry from one call into the next; a usage error comes before a
+# valid call in both orders
+PARSER_REUSE_CALLS = [
+    "--json knot reduce 1 2 3 4",
+    "knot reduce --runs 1 2 3 4",
+    "--json knot reduce --runs 1 2 3 4",
+    "knot reduce 1 2 3 4",
+    "--json dunwoody check 2 3 2 2 --edges",
+    "dunwoody check 2 3 2 2",
+    "present 3 2 1 1 --form cyclic",
+    "--json present 3 2 1 1 --form standard",
+    "present 3 2 1 1 --form both",
+    "present 3 2 1 1",
+    "--seed 5 --budget 7 verify-all --nmax 3 --pmax 4 --lmax 2",
+    "--json verify-all",
+    "present 3 2",
+    "--json knot ambient 3 4 4 3",
+    "knot frobnicate 1 2 3 4",
+    "dunwoody raw 1 1 1 3 2 0 --edges",
+    "dunwoody raw 1 1 1 3 2 5",
+]
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch, gate_results):
+    kwargs_seen = []
+
+    def shared_run(**kwargs):  # verify-all prints the gate grid's results
+        kwargs_seen.append(kwargs)
+        return gate_results
+
+    monkeypatch.setattr(cli, "run_all", shared_run)
+
+    def call(command):  # (exit code, stdout, stderr, run_all's arguments)
+        kwargs_seen.clear()
+        try:
+            code = main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, list(kwargs_seen)
+
+    fresh = {}
+    for command in PARSER_REUSE_CALLS:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh[command] = call(command)
+    n_max, p_max, l_max = GATE_GRID
+    assert fresh["--json verify-all"][3] == [
+        dict(n_max=n_max, p_max=p_max, l_max=l_max, seed=0, budget=cli.DEFAULT_BUDGET)
+    ]
+    seeded = fresh["--seed 5 --budget 7 verify-all --nmax 3 --pmax 4 --lmax 2"]
+    assert seeded[3] == [dict(n_max=3, p_max=4, l_max=2, seed=5, budget=7)]
+    assert [fresh[c][0] for c in ("present 3 2", "knot frobnicate 1 2 3 4")] == [2, 2]
+    builds = []
+
+    def counted_build():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for command in PARSER_REUSE_CALLS + PARSER_REUSE_CALLS[::-1]:
+        assert call(command) == fresh[command], command
+    assert len(builds) == 1
 
 
 def test_module_runs_as_subprocess():
