@@ -13,123 +13,106 @@ by exact integer computation, that they agree:
 
 ``verify.run_all`` executes every built-in consistency check; the
 ``seifknot`` console script exposes the same operations one at a time.
+
+Importing the package runs none of its layers. Each layer is a lazy
+module in ``sys.modules``: it is compiled and run when one of its
+attributes is first read, so a command pays only for the layers it uses.
 """
 
-from .dunwoody import (
-    DiagramParams,
-    GluedDiagram,
-    GluingError,
-    check_seifert_diagram,
-    expected_identifications,
-)
-from .foxcalc import (
-    LaurentPoly,
-    alexander_matrix,
-    alexander_polynomial,
-    example_knot_presentation,
-    fox_derivative,
-    laurent_determinant,
-    laurent_gcd,
-)
-from .freegroup import (
-    FreeWord,
-    format_word,
-    generator,
-    identity,
-    parse_word,
-    seifert_word,
-)
-from .homology import (
-    AbelianGroup,
-    bareiss_determinant,
-    circulant_order,
-    cokernel,
-    first_homology,
-    resultant,
-    seifert_h1,
-    smith_normal_form,
-    verify_snf_certificate,
-)
-from .knots11 import (
-    CoveredKnot,
-    KnotParams,
-    UnsupportedTwist,
-    band_swap,
-    coincident_seifert_params,
-    knot_from_seifert,
-    lens_closed_form,
-    lens_name,
-    normalize_lens,
-    reduce_to_lens,
-    swap,
-)
-from .presentations import (
-    BudgetExceeded,
-    Presentation,
-    count_homomorphisms,
-    count_seifert_homomorphisms,
-    cyclic_presentation,
-    seifert_cyclic_presentation,
-    seifert_parameter_grid,
-    standard_seifert_presentation,
-    symmetric_group,
-    tietze_witnesses,
-    validate_seifert_params,
-)
-from .verify import CheckResult, run_all
+import importlib.util
+import sys
+
+# The public names, by the layer that defines them.
+_EXPORTS = {
+    "dunwoody": (
+        "DiagramParams",
+        "GluedDiagram",
+        "GluingError",
+        "check_seifert_diagram",
+        "expected_identifications",
+    ),
+    "foxcalc": (
+        "LaurentPoly",
+        "alexander_matrix",
+        "alexander_polynomial",
+        "example_knot_presentation",
+        "fox_derivative",
+        "laurent_determinant",
+        "laurent_gcd",
+    ),
+    "freegroup": (
+        "FreeWord",
+        "format_word",
+        "generator",
+        "identity",
+        "parse_word",
+        "seifert_word",
+    ),
+    "homology": (
+        "AbelianGroup",
+        "bareiss_determinant",
+        "circulant_order",
+        "cokernel",
+        "first_homology",
+        "resultant",
+        "seifert_h1",
+        "smith_normal_form",
+        "verify_snf_certificate",
+    ),
+    "knots11": (
+        "CoveredKnot",
+        "KnotParams",
+        "UnsupportedTwist",
+        "band_swap",
+        "coincident_seifert_params",
+        "knot_from_seifert",
+        "lens_closed_form",
+        "lens_name",
+        "normalize_lens",
+        "reduce_to_lens",
+        "swap",
+    ),
+    "presentations": (
+        "BudgetExceeded",
+        "Presentation",
+        "count_homomorphisms",
+        "count_seifert_homomorphisms",
+        "cyclic_presentation",
+        "seifert_cyclic_presentation",
+        "seifert_parameter_grid",
+        "standard_seifert_presentation",
+        "symmetric_group",
+        "tietze_witnesses",
+        "validate_seifert_params",
+    ),
+    "verify": ("CheckResult", "run_all"),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroup",
-    "BudgetExceeded",
-    "CheckResult",
-    "CoveredKnot",
-    "DiagramParams",
-    "FreeWord",
-    "GluedDiagram",
-    "GluingError",
-    "KnotParams",
-    "LaurentPoly",
-    "Presentation",
-    "UnsupportedTwist",
-    "alexander_matrix",
-    "alexander_polynomial",
-    "band_swap",
-    "bareiss_determinant",
-    "check_seifert_diagram",
-    "circulant_order",
-    "coincident_seifert_params",
-    "cokernel",
-    "count_homomorphisms",
-    "count_seifert_homomorphisms",
-    "cyclic_presentation",
-    "example_knot_presentation",
-    "expected_identifications",
-    "first_homology",
-    "format_word",
-    "fox_derivative",
-    "generator",
-    "identity",
-    "knot_from_seifert",
-    "laurent_determinant",
-    "laurent_gcd",
-    "lens_closed_form",
-    "lens_name",
-    "normalize_lens",
-    "parse_word",
-    "reduce_to_lens",
-    "resultant",
-    "run_all",
-    "seifert_cyclic_presentation",
-    "seifert_h1",
-    "seifert_parameter_grid",
-    "seifert_word",
-    "smith_normal_form",
-    "standard_seifert_presentation",
-    "swap",
-    "symmetric_group",
-    "tietze_witnesses",
-    "validate_seifert_params",
-    "verify_snf_certificate",
-]
+__all__ = sorted(_LAYER_OF)
+
+
+def _lazy_layer(layer: str):
+    """Register seifknot.<layer> in sys.modules without running it; the
+    first attribute read runs it (importlib.util.LazyLoader)."""
+    name = f"{__name__}.{layer}"
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+globals().update((layer, _lazy_layer(layer)) for layer in _EXPORTS)
+
+
+def __getattr__(name: str):
+    """An exported name, read from its layer at each access (PEP 562)."""
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[layer], name)

@@ -14,28 +14,10 @@ import json
 import sys
 from typing import Any, Sequence
 
-from .dunwoody import DiagramParams, GluedDiagram, check_seifert_diagram
-from .foxcalc import alexander_polynomial, example_knot_presentation
-from .freegroup import clip, read_int, seifert_word
-from .homology import cokernel, cyclic_h1, standard_h1
-from .knots11 import (
-    KnotParams,
-    _one_step_moves,
-    _step,
-    knot_from_seifert,
-    lens_closed_form,
-    lens_name,
-    reduce_to_lens,
-)
-from .presentations import (
-    DEFAULT_BUDGET,
-    Presentation,
-    seifert_cyclic_presentation,
-    standard_seifert_presentation,
-    tietze_witnesses,
-    validate_seifert_params,
-)
-from .verify import GATE_GRID, run_all
+# Lazy modules (see the package docstring): each is compiled and run when a
+# handler first reads it, so a command runs only the layers it needs, and
+# names are read through them at each call.
+from . import dunwoody, foxcalc, freegroup, homology, knots11, presentations, verify
 
 
 def _emit(args: argparse.Namespace, data: dict[str, Any], human: str) -> None:
@@ -64,7 +46,7 @@ def _load_json(path: str) -> Any:
     except json.JSONDecodeError:
         raise
     except ValueError:  # an integer int() refuses; parse again to name it
-        data = json.loads(text, parse_int=lambda digits: read_int(digits, "JSON integer"))
+        data = json.loads(text, parse_int=lambda digits: freegroup.read_int(digits, "JSON integer"))
     # the lists and objects at each level in turn, without recursion
     level = [data] if isinstance(data, (list, dict)) else []
     for _ in range(MAX_JSON_DEPTH):
@@ -90,7 +72,7 @@ def _load_int_matrix(path: str) -> list[list[int]]:
     for row in rows:
         for x in row:
             if type(x) is not int:  # bool is a subclass of int
-                raise ValueError(f"matrix entry {clip(json.dumps(x))} is not an integer")
+                raise ValueError(f"matrix entry {freegroup.clip(json.dumps(x))} is not an integer")
     return rows
 
 
@@ -185,7 +167,7 @@ def _refuse_over(size: int, cap: int, what: str, hint: str = "") -> None:
 
 
 def _check_presentation_size(args: argparse.Namespace, forms: Sequence[str]) -> None:
-    validate_seifert_params(args.n, args.p, args.q, args.l)  # the real fault first
+    presentations.validate_seifert_params(args.n, args.p, args.q, args.l)  # the real fault first
     n, l = args.n, args.l
     syllables = sum(n * n * l if form == "cyclic" else 7 * n + 8 for form in forms)
     _refuse_over(syllables, MAX_RELATOR_SYLLABLES, "presentation too large: {} relator syllables")
@@ -202,11 +184,11 @@ def cmd_present(args: argparse.Namespace) -> int:
     data: dict[str, Any] = {}
     lines = []
     if args.form in ("cyclic", "both"):
-        pres = seifert_cyclic_presentation(*params)
+        pres = presentations.seifert_cyclic_presentation(*params)
         data["cyclic"] = pres.to_dict()
         lines.append(f"cyclic:   {pres}")
     if args.form in ("standard", "both"):
-        pres = standard_seifert_presentation(*params)
+        pres = presentations.standard_seifert_presentation(*params)
         data["standard"] = pres.to_dict()
         lines.append(f"standard: {pres}")
     _emit(args, data, "\n".join(lines))
@@ -215,7 +197,7 @@ def cmd_present(args: argparse.Namespace) -> int:
 
 def cmd_tietze(args: argparse.Namespace) -> int:
     _check_presentation_size(args, ("cyclic",))
-    witnesses = tietze_witnesses(args.n, args.p, args.q, args.l)
+    witnesses = presentations.tietze_witnesses(args.n, args.p, args.q, args.l)
     rows = []
     lines = []
     all_equal = True
@@ -241,60 +223,60 @@ def cmd_homology(args: argparse.Namespace) -> int:
         size = len(rows) * len(rows[0]) * bits
         what = f"matrix too large: {len(rows)} x {len(rows[0])} cells x {bits} bits = {{}}"
         _refuse_over(size, MAX_MATRIX_BITS, what)
-        group = cokernel(rows, len(rows[0]))
+        group = homology.cokernel(rows, len(rows[0]))
         label = "cokernel"
     else:
         _check_presentation_size(args, (args.source,))
         params = (args.n, args.p, args.q, args.l)
         if args.source == "cyclic":
-            group = cyclic_h1(seifert_word(*params))
+            group = homology.cyclic_h1(freegroup.seifert_word(*params))
         else:
-            group = standard_h1(standard_seifert_presentation(*params))
+            group = homology.standard_h1(presentations.standard_seifert_presentation(*params))
         label = "H1"
     _check_writable(group, label)
     _emit(args, _group_payload(group), f"{label} = {_group_line(group)}")
     return 0
 
 
-def _knot_payload(k: KnotParams) -> list[int]:
+def _knot_payload(k: knots11.KnotParams) -> list[int]:
     return [k.a, k.b, k.c, k.r]
 
 
 def cmd_knot(args: argparse.Namespace) -> int:
     if args.action == "from-seifert":
-        cover = knot_from_seifert(args.n, args.p, args.q, args.l)
+        cover = knots11.knot_from_seifert(args.n, args.p, args.q, args.l)
         data = {
             "knot": _knot_payload(cover.knot),
             "ambient": list(cover.ambient),
-            "ambient_name": lens_name(cover.ambient),
+            "ambient_name": knots11.lens_name(cover.ambient),
             "sheets": cover.sheets,
             "shift": cover.shift,
         }
         human = (
-            f"{cover.knot} in {lens_name(cover.ambient)}; "
+            f"{cover.knot} in {knots11.lens_name(cover.ambient)}; "
             f"{cover.sheets}-fold cyclic branched cover, shift {cover.shift}"
         )
         _emit(args, data, human)
         return 0
-    k = KnotParams(args.a, args.b, args.c, args.r)
+    k = knots11.KnotParams(args.a, args.b, args.c, args.r)
     if args.action == "ambient":
-        lens = lens_closed_form(k)
+        lens = knots11.lens_closed_form(k)
         _emit(
             args,
-            {"knot": _knot_payload(k), "lens": list(lens), "name": lens_name(lens)},
-            f"{k} lies in {lens_name(lens)}",
+            {"knot": _knot_payload(k), "lens": list(lens), "name": knots11.lens_name(lens)},
+            f"{k} lies in {knots11.lens_name(lens)}",
         )
         return 0
-    lens, trace = reduce_to_lens(k)
+    lens, trace = knots11.reduce_to_lens(k)
     data: dict[str, Any] = {
         "start": _knot_payload(k),
         "lens": list(lens),
-        "name": lens_name(lens),
+        "name": knots11.lens_name(lens),
     }
     if args.runs:
         data["runs"] = [[label, runs, _knot_payload(state)] for label, runs, state in trace]
         lines = [f"{label:>5} x{runs}  {state}" for label, runs, state in trace]
-        _emit(args, data, "\n".join([f"start  {k}", *lines, f"result {lens_name(lens)}"]))
+        _emit(args, data, "\n".join([f"start  {k}", *lines, f"result {knots11.lens_name(lens)}"]))
         return 0
     total = sum(runs for _, runs, _ in trace)
     hint = "; --runs prints it in at most four runs"
@@ -312,26 +294,26 @@ def cmd_knot(args: argparse.Namespace) -> int:
                 continue
             axes = [
                 range(x - (runs - 1) * d, x + d, d) if d else itertools.repeat(x, runs)
-                for x, d in zip(_knot_payload(end), _step(label, end.c))
+                for x, d in zip(_knot_payload(end), knots11._step(label, end.c))
             ]
             for move in map(_MOVE_JSON.__mod__, zip(seps, itertools.repeat(label), *axes)):
                 write(move)
         write(("\n  ]" if total else "]") + tail + "\n")
         return 0
-    moves = _one_step_moves(trace)
+    moves = knots11._one_step_moves(trace)
     lines = [f"{label:>5}  K({a},{b},{c},{r})" for label, (a, b, c, r) in moves]
-    print("\n".join([f"start  {k}", *lines, f"result {lens_name(lens)}"]))
+    print("\n".join([f"start  {k}", *lines, f"result {knots11.lens_name(lens)}"]))
     return 0
 
 
-def _edge_classes_payload(diagram: GluedDiagram) -> list[list[list[Any]]]:
+def _edge_classes_payload(diagram: dunwoody.GluedDiagram) -> list[list[list[Any]]]:
     return [
         [[list(edge), 1 - 2 * parity] for edge, parity in cls]
         for cls in diagram.edge_classes
     ]
 
 
-def _edge_classes_lines(diagram: GluedDiagram) -> list[str]:
+def _edge_classes_lines(diagram: dunwoody.GluedDiagram) -> list[str]:
     lines = []
     for idx, cls in enumerate(diagram.edge_classes):
         members = " ".join(
@@ -354,14 +336,14 @@ def _check_glued_slots(n: int, cycle_length: int) -> None:
 
 def cmd_dunwoody(args: argparse.Namespace) -> int:
     if args.action == "check":
-        cover = knot_from_seifert(args.n, args.p, args.q, args.l)
+        cover = knots11.knot_from_seifert(args.n, args.p, args.q, args.l)
         _check_glued_slots(args.n, cover.knot.period)
-        word = seifert_word(args.n, args.p, args.q, args.l)
-        diagram, relators_match = check_seifert_diagram(cover, word)
+        word = freegroup.seifert_word(args.n, args.p, args.q, args.l)
+        diagram, relators_match = dunwoody.check_seifert_diagram(cover, word)
     else:
         _check_glued_slots(args.n, 2 * args.a + args.b + args.c)
-        diagram = GluedDiagram(
-            DiagramParams(args.a, args.b, args.c, args.n, args.r, args.s)
+        diagram = dunwoody.GluedDiagram(
+            dunwoody.DiagramParams(args.a, args.b, args.c, args.n, args.r, args.s)
         )
     params, counts = diagram.params, diagram.counts()
     criterion = diagram.satisfies_cover_criterion()
@@ -395,13 +377,13 @@ def cmd_dunwoody(args: argparse.Namespace) -> int:
 
 def cmd_alexander(args: argparse.Namespace) -> int:
     if args.example:
-        pres = example_knot_presentation()
+        pres = foxcalc.example_knot_presentation()
     else:
-        pres = Presentation.from_dict(_load_json(args.presentation))
+        pres = presentations.Presentation.from_dict(_load_json(args.presentation))
         # len() of a word fails past sys.maxsize letters
         letters = sum(abs(e) for r in pres.relators for _, e in r.syllables)
         _refuse_over(letters, MAX_RELATOR_LETTERS, "presentation too large: {} relator letters")
-    delta = alexander_polynomial(pres)
+    delta = foxcalc.alexander_polynomial(pres)
     det_text = str(abs(delta(-1)))
     data = {
         "alexander": str(delta),
@@ -414,12 +396,19 @@ def cmd_alexander(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
-    results = run_all(
-        n_max=args.nmax,
-        p_max=args.pmax,
-        l_max=args.lmax,
+    # the parser leaves an option not given as None: reading these defaults
+    # there would load the layers that define them
+    n_max, p_max, l_max = (
+        default if given is None else given
+        for given, default in zip((args.nmax, args.pmax, args.lmax), verify.GATE_GRID)
+    )
+    budget = presentations.DEFAULT_BUDGET if args.budget is None else args.budget
+    results = verify.run_all(
+        n_max=n_max,
+        p_max=p_max,
+        l_max=l_max,
         seed=args.seed,
-        budget=args.budget,
+        budget=budget,
     )
     all_passed = all(r.passed for r in results)
     data = {
@@ -447,7 +436,7 @@ def _int_arg(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {freegroup.clip(text)!r}") from None
 
 
 def _bit_arg(text: str) -> int:
@@ -455,7 +444,7 @@ def _bit_arg(text: str) -> int:
     choice, but clipped."""
     value = _int_arg(text)
     if value not in (0, 1):
-        raise argparse.ArgumentTypeError(f"invalid choice: {clip(str(value))} (choose from 0, 1)")
+        raise argparse.ArgumentTypeError(f"invalid choice: {freegroup.clip(str(value))} (choose from 0, 1)")
     return value
 
 
@@ -491,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget",
         type=_int_arg,
-        default=DEFAULT_BUDGET,
         help="enumeration budget for homomorphism counting",
     )
     commands = parser.add_subparsers(dest="command", required=True)
@@ -511,14 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seifert_args(tietze)
     tietze.set_defaults(func=cmd_tietze)
 
-    homology = commands.add_parser("homology", help="abelianization invariants")
-    hsub = homology.add_subparsers(dest="source", required=True)
+    hcmd = commands.add_parser("homology", help="abelianization invariants")
+    hsub = hcmd.add_subparsers(dest="source", required=True)
     for source in ("cyclic", "standard"):
         h = hsub.add_parser(source, help=f"H1 from the {source} presentation")
         _add_seifert_args(h)
     hmatrix = hsub.add_parser("matrix", help="cokernel of a JSON integer matrix")
     hmatrix.add_argument("file", help="path to a JSON list of rows, or - for stdin")
-    homology.set_defaults(func=cmd_homology)
+    hcmd.set_defaults(func=cmd_homology)
 
     knot = commands.add_parser("knot", help="(1,1)-knot parameter operations")
     ksub = knot.add_subparsers(dest="action", required=True)
@@ -537,10 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_knot_args(kambient)
     knot.set_defaults(func=cmd_knot)
 
-    dunwoody = commands.add_parser(
+    dcmd = commands.add_parser(
         "dunwoody", help="build and check glued tessellation diagrams"
     )
-    dsub = dunwoody.add_subparsers(dest="action", required=True)
+    dsub = dcmd.add_subparsers(dest="action", required=True)
     dcheck = dsub.add_parser(
         "check", help="full diagram check for Seifert parameters"
     )
@@ -556,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     # other first, so argparse never quotes one whole
     draw.add_argument("s", type=_bit_arg, choices=(0, 1))
     draw.add_argument("--edges", action="store_true", help="list edge classes")
-    dunwoody.set_defaults(func=cmd_dunwoody)
+    dcmd.set_defaults(func=cmd_dunwoody)
 
     alexander = commands.add_parser(
         "alexander", help="Alexander polynomial of a deficiency-one presentation"
@@ -572,10 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     alexander.set_defaults(func=cmd_alexander)
 
-    verify = commands.add_parser("verify-all", help="run every built-in check")
-    for flag, default in zip(("--nmax", "--pmax", "--lmax"), GATE_GRID):
-        verify.add_argument(flag, type=_int_arg, default=default)
-    verify.set_defaults(func=cmd_verify_all)
+    vcmd = commands.add_parser("verify-all", help="run every built-in check")
+    for flag in ("--nmax", "--pmax", "--lmax"):
+        vcmd.add_argument(flag, type=_int_arg)
+    vcmd.set_defaults(func=cmd_verify_all)
 
     return parser
 

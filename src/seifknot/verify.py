@@ -25,6 +25,7 @@ from .foxcalc import (
 from .freegroup import FreeWord, format_word, parse_word, seifert_word
 from .homology import (
     circulant_order,
+    cyclic_h1,
     first_homology,
     seifert_h1,
     smith_normal_form,
@@ -281,14 +282,16 @@ def _tietze_tail(grid: list[Point]) -> tuple[bool, str]:
 
 
 def _homology_at(at: _GridPoint) -> str | None:
-    """Both presentations abelianize to the closed form `seifert_h1`, and
-    the circulant shortcut agrees on the order."""
+    """Both presentations abelianize to the closed form `seifert_h1`, the
+    cyclic one by its dense Smith form and by `cyclic_h1`, the route of
+    `homology cyclic`; and the circulant shortcut agrees on the order."""
     point = at.point
     cyc = first_homology(cyclic_presentation(at.word))
+    linear = cyclic_h1(at.word)
     std = standard_h1(standard_seifert_presentation(*point))
     closed = seifert_h1(*point)
-    if cyc != closed or std != closed:
-        return f"H1 mismatch at {point}: {cyc} vs {std} vs closed form {closed}"
+    if cyc != closed or linear != closed or std != closed:
+        return f"H1 mismatch at {point}: {cyc} vs {linear} vs {std} vs closed form {closed}"
     order = circulant_order(at.word.exponent_vector())
     if order != (cyc.order() or 0):  # 0 stands for an infinite H1
         return f"circulant order mismatch at {point}"

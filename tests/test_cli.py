@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from seifknot import cli
+from seifknot import cli, dunwoody, foxcalc, freegroup, homology, knots11, presentations, verify
 from seifknot.cli import build_parser, main
 from seifknot.homology import AbelianGroup
 from seifknot.knots11 import KnotParams, _one_step_moves, lens_name, reduce_to_lens
@@ -126,7 +126,7 @@ def test_homology_matrix_cap(tmp_path, capsys, monkeypatch, rows, message):
     def no_work(*args):
         raise AssertionError("a matrix over the cap was reduced")
 
-    monkeypatch.setattr(cli, "cokernel", no_work)
+    monkeypatch.setattr(homology, "cokernel", no_work)
     path = tmp_path / "mat.json"
     path.write_text(json.dumps(rows))
     code, out, err = run_cli(capsys, "homology", "matrix", str(path))
@@ -422,7 +422,7 @@ def test_knot_reduce_json_writes_runs_of_no_moves(capsys, monkeypatch):
         [("I", 0, KnotParams(5, 0, 2, 5))],
     ]
     for trace, moves in zip(traces, (2, 0)):
-        monkeypatch.setattr(cli, "reduce_to_lens", lambda k, trace=trace: (lens, trace))
+        monkeypatch.setattr(knots11, "reduce_to_lens", lambda k, trace=trace: (lens, trace))
         code, out, _ = run_cli(capsys, "--json", "knot", "reduce", *map(str, knot))
         assert code == 0
         assert out == _moves_by_encoder(knot, lens, trace)
@@ -491,8 +491,8 @@ def test_dunwoody_size_cap(capsys, monkeypatch, command, slots):
     def no_work(*args):
         raise AssertionError("a diagram over the cap was built")
 
-    monkeypatch.setattr(cli, "GluedDiagram", no_work)
-    monkeypatch.setattr(cli, "check_seifert_diagram", no_work)
+    monkeypatch.setattr(dunwoody, "GluedDiagram", no_work)
+    monkeypatch.setattr(dunwoody, "check_seifert_diagram", no_work)
     code, out, err = run_cli(capsys, "dunwoody", *command.split())
     assert code == 1 and not out
     assert f"{slots} glued slots" in err and "cap of 1000000" in err
@@ -505,8 +505,8 @@ def test_dunwoody_size_cap_is_inclusive(capsys, monkeypatch):
         built.append(args)
         raise ValueError("stop")
 
-    monkeypatch.setattr(cli, "GluedDiagram", record)
-    monkeypatch.setattr(cli, "check_seifert_diagram", record)
+    monkeypatch.setattr(dunwoody, "GluedDiagram", record)
+    monkeypatch.setattr(dunwoody, "check_seifert_diagram", record)
     run_cli(capsys, "dunwoody", "raw", "1", "1", "1", "250000", "0", "0")
     run_cli(capsys, "dunwoody", "check", "500", "2", "1", "4")  # 500 * 2000
     assert len(built) == 2
@@ -588,7 +588,7 @@ def test_alexander_letter_cap(tmp_path, capsys, monkeypatch):
     code, out, _ = run(499)  # 1000 letters, at the cap
     assert code == 0
     assert json.loads(out) == {"alexander": "1 - t^499", "determinant": "2", "terms": [[0, 1], [499, -1]]}
-    monkeypatch.setattr(cli, "alexander_polynomial", pytest.fail)
+    monkeypatch.setattr(foxcalc, "alexander_polynomial", pytest.fail)
     code, out, err = run(500)
     assert code == 1 and out == ""
     assert "1002 relator letters exceed the cap of 1000" in err
@@ -674,9 +674,10 @@ def test_presentation_size_caps(capsys, monkeypatch, command, message):
     def no_work(*args):
         raise AssertionError("a presentation or diagram over the cap was built")
 
-    for name in ("seifert_cyclic_presentation", "standard_seifert_presentation", "seifert_word",
-                 "tietze_witnesses", "check_seifert_diagram"):
-        monkeypatch.setattr(cli, name, no_work)
+    for owner, name in [(presentations, "seifert_cyclic_presentation"),
+                        (presentations, "standard_seifert_presentation"), (freegroup, "seifert_word"),
+                        (presentations, "tietze_witnesses"), (dunwoody, "check_seifert_diagram")]:
+        monkeypatch.setattr(owner, name, no_work)
     code, out, err = run_cli(capsys, *command.split())
     assert code == 1 and not out
     assert err.startswith("error: ") and message in err
@@ -689,9 +690,10 @@ def test_presentation_size_caps_are_inclusive(capsys, monkeypatch):
         built.append(args)
         raise ValueError("stop")
 
-    for name in ("seifert_cyclic_presentation", "standard_seifert_presentation", "seifert_word",
-                 "tietze_witnesses"):
-        monkeypatch.setattr(cli, name, record)
+    for owner, name in [(presentations, "seifert_cyclic_presentation"),
+                        (presentations, "standard_seifert_presentation"), (freegroup, "seifert_word"),
+                        (presentations, "tietze_witnesses")]:
+        monkeypatch.setattr(owner, name, record)
     for command in (
         "present 3 7 2 33333 --form cyclic",  # 299997 syllables
         "tietze 2 3 1 75000",  # 300000
@@ -708,9 +710,12 @@ def test_json_output_is_byte_stable(capsys):
     assert first == second
 
 
-def test_verify_all_defaults_to_the_gate_grid():
-    args = build_parser().parse_args(["verify-all"])
-    assert (args.nmax, args.pmax, args.lmax) == GATE_GRID
+def test_verify_all_defaults_to_the_gate_grid(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(verify, "run_all", lambda **kwargs: seen.append(kwargs) or [])
+    run_cli(capsys, "verify-all")
+    args = seen[0]
+    assert (args["n_max"], args["p_max"], args["l_max"]) == GATE_GRID
 
 
 # calls that set, or leave at their defaults, every option a reused parser
@@ -744,7 +749,7 @@ def test_a_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch, gate_result
         kwargs_seen.append(kwargs)
         return gate_results
 
-    monkeypatch.setattr(cli, "run_all", shared_run)
+    monkeypatch.setattr(verify, "run_all", shared_run)
 
     def call(command):  # (exit code, stdout, stderr, run_all's arguments)
         kwargs_seen.clear()
@@ -761,7 +766,7 @@ def test_a_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch, gate_result
         fresh[command] = call(command)
     n_max, p_max, l_max = GATE_GRID
     assert fresh["--json verify-all"][3] == [
-        dict(n_max=n_max, p_max=p_max, l_max=l_max, seed=0, budget=cli.DEFAULT_BUDGET)
+        dict(n_max=n_max, p_max=p_max, l_max=l_max, seed=0, budget=presentations.DEFAULT_BUDGET)
     ]
     seeded = fresh["--seed 5 --budget 7 verify-all --nmax 3 --pmax 4 --lmax 2"]
     assert seeded[3] == [dict(n_max=3, p_max=4, l_max=2, seed=5, budget=7)]
@@ -811,11 +816,12 @@ def test_console_script_exit_codes(monkeypatch, capsys, argv, code, stream, text
 
 def test_a_fresh_import_frees_the_old_package():
     # a module-level typing alias naming one of the package's classes sits
-    # in typing's cache and would keep each import's classes alive
+    # in typing's cache and would keep each import's classes alive; vars()
+    # of a lazy layer runs it, which can import more modules mid-walk
     script = """
 import gc, importlib, sys, weakref
 importlib.import_module("seifknot.cli")
-refs = [weakref.ref(obj) for name, mod in sys.modules.items() if name.startswith("seifknot")
+refs = [weakref.ref(obj) for name, mod in list(sys.modules.items()) if name.startswith("seifknot")
         for obj in vars(mod).values() if isinstance(obj, type) and obj.__module__ == name]
 for name in [n for n in sys.modules if n.startswith("seifknot")]:
     del sys.modules[name]

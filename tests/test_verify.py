@@ -7,9 +7,10 @@ import re
 
 import pytest
 
-from seifknot import cli, verify
+from seifknot import verify
 from seifknot.cli import main
 from seifknot.freegroup import seifert_word
+from seifknot.homology import AbelianGroup
 from seifknot.presentations import seifert_cyclic_presentation, seifert_parameter_grid
 from seifknot.verify import DEFAULT_BUDGET, GATE_GRID
 
@@ -98,7 +99,7 @@ def test_gate_grid_json_is_pinned(capsys, monkeypatch, gate_results):
         )
         return gate_results
 
-    monkeypatch.setattr(cli, "run_all", shared_run)
+    monkeypatch.setattr(verify, "run_all", shared_run)
     code, out, _ = run_cli(capsys, "--json", "verify-all")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GATE_GRID_SHA256
@@ -161,6 +162,13 @@ def test_an_exception_at_one_point_fails_only_its_check(monkeypatch, quick_plain
     assert len({r.name for r in results}) == len(results) == 10
     failed = {r.name: r.detail for r in results if not r.passed}
     assert failed == {"homology-grid": "ZeroDivisionError: planted"}
+
+
+def test_homology_grid_checks_the_route_of_homology_cyclic(monkeypatch, quick_plain_checks):
+    monkeypatch.setattr(verify, "cyclic_h1", lambda word: AbelianGroup(1))  # planted, wrong
+    failed = {r.name: r.detail for r in verify.run_all(*SMALL_GRID) if not r.passed}
+    group = "Z/2 + Z/2"
+    assert failed == {"homology-grid": f"H1 mismatch at (2, 2, 1, 2): {group} vs Z vs {group} vs closed form {group}"}
 
 
 def test_a_check_reports_its_first_failing_point_and_stops(monkeypatch, quick_plain_checks):
