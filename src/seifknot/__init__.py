@@ -33,12 +33,9 @@ _EXPORTS = {
     ),
     "foxcalc": (
         "LaurentPoly",
-        "alexander_matrix",
         "alexander_polynomial",
         "example_knot_presentation",
         "fox_derivative",
-        "laurent_determinant",
-        "laurent_gcd",
     ),
     "freegroup": (
         "FreeWord",
@@ -50,11 +47,9 @@ _EXPORTS = {
     ),
     "homology": (
         "AbelianGroup",
-        "bareiss_determinant",
         "circulant_order",
         "cokernel",
         "first_homology",
-        "resultant",
         "seifert_h1",
         "smith_normal_form",
         "verify_snf_certificate",
@@ -63,14 +58,12 @@ _EXPORTS = {
         "CoveredKnot",
         "KnotParams",
         "UnsupportedTwist",
-        "band_swap",
         "coincident_seifert_params",
         "knot_from_seifert",
         "lens_closed_form",
         "lens_name",
         "normalize_lens",
         "reduce_to_lens",
-        "swap",
     ),
     "presentations": (
         "BudgetExceeded",

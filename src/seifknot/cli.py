@@ -139,22 +139,24 @@ MAX_RELATOR_LETTERS = 1_000
 
 # Most moves `knot reduce` lists one by one; `knot reduce --runs` prints
 # any reduction in at most four runs. At the cap `--json` takes about
-# 0.35 s in-process and prints 28 MB (2-vCPU Xeon).
+# 0.2 s in-process and prints 28 MB, the text listing 0.15 s and 8 MB
+# (2-vCPU Xeon).
 MAX_TRACE_MOVES = 300_000
 
 # One move as json.dumps(..., indent=2) writes it in the top-level "moves"
-# list, after the separator that goes before it (move labels are plain
-# identifiers, so need no escaping). The pure-Python indenting encoder
-# takes several times as long on a long trace; mapping this template over
-# a run's four axes writes the 34 515 moves of `knot reduce 34514 34515
-# 971 70000` in 27 ms in-process, against 48 ms for str.format on each
-# move of `_one_step_moves` (2-vCPU Xeon). One write per move keeps no
-# second copy of the output: joining moves into larger writes is faster
-# still, but holds more of the output in memory at once.
+# list (move labels are plain identifiers, so need no escaping), and as the
+# text listing writes it. The pure-Python indenting encoder takes several
+# times as long on a long trace; mapping a template over the moves of
+# `one_step_moves` writes the 34 515 moves of `knot reduce 34514 34515 971
+# 70000` in about 22 ms in-process, and their text lines in 18 ms (2-vCPU
+# Xeon). One write per move keeps no second copy of the output: joining
+# moves into larger writes is faster still, but holds more of the output in
+# memory at once.
 _MOVE_JSON = (
-    '%s    [\n      "%s",\n      [\n        %d,\n        %d,\n        %d,\n        %d\n'
+    '    [\n      "%s",\n      [\n        %d,\n        %d,\n        %d,\n        %d\n'
     "      ]\n    ]"
 )
+_MOVE_TEXT = "%5s  K(%d,%d,%d,%d)\n"
 
 
 def _refuse_over(size: int, cap: int, what: str, hint: str = "") -> None:
@@ -281,28 +283,21 @@ def cmd_knot(args: argparse.Namespace) -> int:
     total = sum(runs for _, runs, _ in trace)
     hint = "; --runs prints it in at most four runs"
     _refuse_over(total, MAX_TRACE_MOVES, "trace too long: {} moves", hint)
+    moves = knots11.one_step_moves(trace)
     if args.json:
         data["moves"] = None
         head, tail = json.dumps(data, indent=2, sort_keys=True).split('"moves": null')
-        write = sys.stdout.write
-        write(head + '"moves": [')
-        # a run's moves step (a, b, c, r) by `_step` up to the recorded end,
-        # as `_one_step_moves` lists them
-        seps = itertools.chain(("\n",), itertools.repeat(",\n"))
-        for label, runs, end in trace:
-            if not runs:  # zip would still take a separator from seps
-                continue
-            axes = [
-                range(x - (runs - 1) * d, x + d, d) if d else itertools.repeat(x, runs)
-                for x, d in zip(_knot_payload(end), knots11._step(label, end.c))
-            ]
-            for move in map(_MOVE_JSON.__mod__, zip(seps, itertools.repeat(label), *axes)):
-                write(move)
-        write(("\n  ]" if total else "]") + tail + "\n")
-        return 0
-    moves = knots11._one_step_moves(trace)
-    lines = [f"{label:>5}  K({a},{b},{c},{r})" for label, (a, b, c, r) in moves]
-    print("\n".join([f"start  {k}", *lines, f"result {knots11.lens_name(lens)}"]))
+        head += '"moves": ['
+        for first in itertools.islice(moves, 1):  # a separator goes before each later move
+            head += "\n" + _MOVE_JSON % first
+        template, tail = ",\n" + _MOVE_JSON, ("\n  ]" if total else "]") + tail + "\n"
+    else:
+        head, template, tail = f"start  {k}\n", _MOVE_TEXT, f"result {knots11.lens_name(lens)}\n"
+    write = sys.stdout.write
+    write(head)
+    for move in map(template.__mod__, moves):
+        write(move)
+    write(tail)
     return 0
 
 

@@ -270,7 +270,7 @@ class GluedDiagram:
                 if at != base:
                     raise AssertionError("boundary cycle does not close")
 
-    def _slots(self) -> Iterator[tuple[int, int, int, int]]:
+    def slots(self) -> Iterator[tuple[int, int, int, int]]:
         """Each boundary slot of the face pairing as (u, v, eps, delta):
         upper edge u, the lower edge v glued to it, and their traversal
         signs, so u and v are glued against their orientations exactly
@@ -297,7 +297,7 @@ class GluedDiagram:
         vertex_dsu = _ParityDSU(num_vertices)
         join_edges, join_vertices = edge_dsu.union, vertex_dsu.union
         try:
-            for u, v, eps, delta in self._slots():
+            for u, v, eps, delta in self.slots():
                 join_edges(u, v, eps == delta)
                 join_vertices(
                     tail[u] if eps > 0 else head[u],

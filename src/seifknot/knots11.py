@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import gcd
 
 from .presentations import validate_seifert_params
@@ -186,15 +187,20 @@ def reduce_to_lens(k: KnotParams) -> tuple[tuple[int, int], Trace]:
     return _single_band(k, trace), trace
 
 
-def _one_step_moves(trace: Trace) -> Iterator[tuple[str, tuple[int, int, int, int]]]:
-    """The moves of a run-length trace one at a time, as (label, (a, b, c,
-    r) after the move). The j-th move before a run's end is its recorded
-    state with the run's `_step` undone j times."""
-    for label, runs, end in trace:
-        a, b, c, r = end.a, end.b, end.c, end.r
-        da, db, dc, dr = _step(label, c)
-        for j in range(runs - 1, -1, -1):
-            yield label, (a - j * da, b - j * db, c - j * dc, r - j * dr)
+def one_step_moves(trace: Trace) -> Iterator[tuple[str, int, int, int, int]]:
+    """The moves of a run-length trace one at a time, as (label, a, b, c,
+    r) after the move. Each axis of a run steps by `_step` up to the run's
+    recorded end, or repeats where the step is zero."""
+    return chain.from_iterable(
+        zip(
+            repeat(label, runs),
+            *(
+                range(x - (runs - 1) * d, x + d, d) if d else repeat(x, runs)
+                for x, d in zip((end.a, end.b, end.c, end.r), _step(label, end.c))
+            ),
+        )
+        for label, runs, end in trace
+    )
 
 
 def lens_closed_form(k: KnotParams) -> tuple[int, int]:

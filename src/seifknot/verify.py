@@ -338,7 +338,7 @@ def _identification_at(at: _GridPoint) -> str | None:
     expected = sorted([(u, v, False) if u < v else (v, u, False) for u, v in rules])
     glued = sorted([
         (u, v, eps == delta) if u < v else (v, u, eps == delta)
-        for u, v, eps, delta in diagram._slots()
+        for u, v, eps, delta in diagram.slots()
     ])
     if glued != expected:
         return f"identification mismatch at {point}"

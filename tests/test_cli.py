@@ -10,7 +10,7 @@ import pytest
 from seifknot import cli, dunwoody, foxcalc, freegroup, homology, knots11, presentations, verify
 from seifknot.cli import build_parser, main
 from seifknot.homology import AbelianGroup
-from seifknot.knots11 import KnotParams, _one_step_moves, lens_name, reduce_to_lens
+from seifknot.knots11 import KnotParams, lens_name, one_step_moves, reduce_to_lens
 from seifknot.verify import GATE_GRID
 
 
@@ -152,6 +152,16 @@ def test_deeply_nested_json_is_rejected(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(DEEP_JSON))
     code, out, err = run_cli(capsys, "alexander", "--presentation", "-")
     assert (code, out, err) == (1, "", "error: JSON nested too deeply\n")
+
+
+def test_malformed_json_is_rejected(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "mat.json"
+    path.write_text("[[1, 2]")
+    code, out, err = run_cli(capsys, "homology", "matrix", str(path))
+    assert (code, out, err) == (1, "", "error: Expecting ',' delimiter: line 1 column 8 (char 7)\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"generators": ['))
+    code, out, err = run_cli(capsys, "alexander", "--presentation", "-")
+    assert (code, out, err) == (1, "", "error: Expecting value: line 1 column 17 (char 16)\n")
 
 
 @pytest.mark.parametrize("depth", [cli.MAX_JSON_DEPTH + 1, 980])
@@ -382,9 +392,14 @@ def _moves_by_encoder(knot, lens, trace):
         "start": list(knot),
         "lens": list(lens),
         "name": lens_name(lens),
-        "moves": [[label, list(state)] for label, state in _one_step_moves(trace)],
+        "moves": [[label, state] for label, *state in one_step_moves(trace)],
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _moves_by_lines(knot, lens, trace):
+    lines = [f"{label:>5}  K({a},{b},{c},{r})" for label, a, b, c, r in one_step_moves(trace)]
+    return "\n".join([f"start  K({','.join(map(str, knot))})", *lines, f"result {lens_name(lens)}"]) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -405,6 +420,9 @@ def test_knot_reduce_json_writes_each_move_as_the_encoder_does(capsys, knot):
     code, out, err = run_cli(capsys, "--json", "knot", "reduce", *map(str, knot))
     assert (code, err) == (0, "")
     assert out == _moves_by_encoder(knot, lens, trace)
+    code, out, err = run_cli(capsys, "knot", "reduce", *map(str, knot))
+    assert (code, err) == (0, "")
+    assert out == _moves_by_lines(knot, lens, trace)
 
 
 def test_knot_reduce_json_writes_runs_of_no_moves(capsys, monkeypatch):
@@ -427,6 +445,10 @@ def test_knot_reduce_json_writes_runs_of_no_moves(capsys, monkeypatch):
         assert code == 0
         assert out == _moves_by_encoder(knot, lens, trace)
         assert len(json.loads(out)["moves"]) == moves
+        code, out, _ = run_cli(capsys, "knot", "reduce", *map(str, knot))
+        assert code == 0
+        assert out == _moves_by_lines(knot, lens, trace)
+        assert len(out.splitlines()) == moves + 2
 
 
 def test_knot_reduce_move_cap(capsys):

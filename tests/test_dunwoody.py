@@ -160,7 +160,7 @@ def test_expected_identifications_match_gluing():
         # the partition the pairs generate, and the pairs themselves
         rebuilt = edge_partition_from_pairs(len(diagram.edges), pairs)
         assert rebuilt == diagram.edge_location, point
-        slots = diagram._slots()
+        slots = diagram.slots()
         glued = Counter((min(u, v), max(u, v), eps == delta) for u, v, eps, delta in slots)
         assert glued == Counter((min(u, v), max(u, v), False) for u, v in pairs), point
 

@@ -5,13 +5,13 @@ from seifknot.knots11 import (
     CoveredKnot,
     KnotParams,
     UnsupportedTwist,
-    _one_step_moves,
     band_swap,
     coincident_seifert_params,
     knot_from_seifert,
     lens_closed_form,
     lens_name,
     normalize_lens,
+    one_step_moves,
     reduce_to_lens,
     swap,
 )
@@ -167,7 +167,7 @@ def test_run_length_trace_expands_to_subtractive_trace():
                         continue
                     lens, trace = reduce_to_lens(k)
                     assert len(trace) <= 4, k
-                    moves = [(label, KnotParams(*state)) for label, state in _one_step_moves(trace)]
+                    moves = [(label, KnotParams(*state)) for label, *state in one_step_moves(trace)]
                     assert (lens, moves) == want, k
                     assert sum(runs for _, runs, _ in trace) == len(want[1]), k
                     compared += 1
