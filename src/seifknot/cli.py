@@ -12,7 +12,7 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 # Lazy modules (see the package docstring): each is compiled and run when a
 # handler first reads it, so a command runs only the layers it needs, and
@@ -20,11 +20,13 @@ from typing import Any, Sequence
 from . import dunwoody, foxcalc, freegroup, homology, knots11, presentations, verify
 
 
-def _emit(args: argparse.Namespace, data: dict[str, Any], human: str) -> None:
+def _emit(args: argparse.Namespace, data: dict[str, Any], text: Callable[[], str]) -> None:
+    """Print data as JSON with --json, else the text that text() writes
+    from it: the text is built only when it is printed."""
     if args.json:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
-        print(human)
+        print(text())
 
 
 # Most levels of JSON nesting a command reads (a matrix or a presentation
@@ -105,10 +107,15 @@ def _check_writable(group, label: str) -> None:
 
 
 def _group_line(group) -> str:
-    order = group.order()
-    if order is None:
+    # factors whose bit lengths, less one each, sum to MAX_ORDER_BITS or more
+    # multiply to an order of more bits, which is written as their product
+    # without multiplying them out; under that sum it has under twice as many
+    if group.rank:
         size = "infinite"
-    elif order.bit_length() <= MAX_ORDER_BITS:
+    elif (
+        sum(t.bit_length() - 1 for t in group.torsion) < MAX_ORDER_BITS
+        and (order := group.order()).bit_length() <= MAX_ORDER_BITS
+    ):
         size = f"order {order}"
     else:
         runs = [(t, len(list(run))) for t, run in itertools.groupby(group.torsion)]
@@ -184,37 +191,29 @@ def cmd_present(args: argparse.Namespace) -> int:
     )
     params = (args.n, args.p, args.q, args.l)
     data: dict[str, Any] = {}
-    lines = []
     if args.form in ("cyclic", "both"):
-        pres = presentations.seifert_cyclic_presentation(*params)
-        data["cyclic"] = pres.to_dict()
-        lines.append(f"cyclic:   {pres}")
+        data["cyclic"] = presentations.seifert_cyclic_presentation(*params).to_dict()
     if args.form in ("standard", "both"):
-        pres = presentations.standard_seifert_presentation(*params)
-        data["standard"] = pres.to_dict()
-        lines.append(f"standard: {pres}")
-    _emit(args, data, "\n".join(lines))
+        data["standard"] = presentations.standard_seifert_presentation(*params).to_dict()
+    _emit(args, data, lambda: "\n".join(
+        f"{form + ':':10}< {', '.join(pres['generators'])} | {', '.join(pres['relators'])} >"
+        for form, pres in data.items()
+    ))
     return 0
 
 
 def cmd_tietze(args: argparse.Namespace) -> int:
     _check_presentation_size(args, ("cyclic",))
-    witnesses = presentations.tietze_witnesses(args.n, args.p, args.q, args.l)
-    rows = []
-    lines = []
-    all_equal = True
-    for label, lhs, rhs in witnesses:
-        equal = lhs == rhs
-        all_equal &= equal
-        rows.append(
-            {"label": label, "left": str(lhs), "right": str(rhs), "equal": equal}
-        )
-        status = "ok" if equal else "MISMATCH"
-        lines.append(f"{label}: {lhs} = {rhs}  [{status}]")
-    lines.append(
-        f"{'all' if all_equal else 'NOT all'} {len(witnesses)} identities hold"
-    )
-    _emit(args, {"witnesses": rows, "all_equal": all_equal}, "\n".join(lines))
+    rows = [
+        {"label": label, "left": str(lhs), "right": str(rhs), "equal": lhs == rhs}
+        for label, lhs, rhs in presentations.tietze_witnesses(args.n, args.p, args.q, args.l)
+    ]
+    all_equal = all(row["equal"] for row in rows)
+    _emit(args, {"witnesses": rows, "all_equal": all_equal}, lambda: "\n".join([
+        *(f"{row['label']}: {row['left']} = {row['right']}  "
+          f"[{'ok' if row['equal'] else 'MISMATCH'}]" for row in rows),
+        f"{'all' if all_equal else 'NOT all'} {len(rows)} identities hold",
+    ]))
     return 0 if all_equal else 1
 
 
@@ -236,7 +235,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
             group = homology.standard_h1(presentations.standard_seifert_presentation(*params))
         label = "H1"
     _check_writable(group, label)
-    _emit(args, _group_payload(group), f"{label} = {_group_line(group)}")
+    _emit(args, _group_payload(group), lambda: f"{label} = {_group_line(group)}")
     return 0
 
 
@@ -254,20 +253,16 @@ def cmd_knot(args: argparse.Namespace) -> int:
             "sheets": cover.sheets,
             "shift": cover.shift,
         }
-        human = (
-            f"{cover.knot} in {knots11.lens_name(cover.ambient)}; "
+        _emit(args, data, lambda: (
+            f"{cover.knot} in {data['ambient_name']}; "
             f"{cover.sheets}-fold cyclic branched cover, shift {cover.shift}"
-        )
-        _emit(args, data, human)
+        ))
         return 0
     k = knots11.KnotParams(args.a, args.b, args.c, args.r)
     if args.action == "ambient":
         lens = knots11.lens_closed_form(k)
-        _emit(
-            args,
-            {"knot": _knot_payload(k), "lens": list(lens), "name": knots11.lens_name(lens)},
-            f"{k} lies in {knots11.lens_name(lens)}",
-        )
+        data = {"knot": _knot_payload(k), "lens": list(lens), "name": knots11.lens_name(lens)}
+        _emit(args, data, lambda: f"{k} lies in {data['name']}")
         return 0
     lens, trace = knots11.reduce_to_lens(k)
     data: dict[str, Any] = {
@@ -277,8 +272,11 @@ def cmd_knot(args: argparse.Namespace) -> int:
     }
     if args.runs:
         data["runs"] = [[label, runs, _knot_payload(state)] for label, runs, state in trace]
-        lines = [f"{label:>5} x{runs}  {state}" for label, runs, state in trace]
-        _emit(args, data, "\n".join([f"start  {k}", *lines, f"result {knots11.lens_name(lens)}"]))
+        _emit(args, data, lambda: "\n".join([
+            f"start  {k}",
+            *(f"{label:>5} x{runs}  {state}" for label, runs, state in trace),
+            f"result {data['name']}",
+        ]))
         return 0
     total = sum(runs for _, runs, _ in trace)
     hint = "; --runs prints it in at most four runs"
@@ -292,7 +290,7 @@ def cmd_knot(args: argparse.Namespace) -> int:
             head += "\n" + _MOVE_JSON % first
         template, tail = ",\n" + _MOVE_JSON, ("\n  ]" if total else "]") + tail + "\n"
     else:
-        head, template, tail = f"start  {k}\n", _MOVE_TEXT, f"result {knots11.lens_name(lens)}\n"
+        head, template, tail = f"start  {k}\n", _MOVE_TEXT, f"result {data['name']}\n"
     write = sys.stdout.write
     write(head)
     for move in map(template.__mod__, moves):
@@ -306,17 +304,6 @@ def _edge_classes_payload(diagram: dunwoody.GluedDiagram) -> list[list[list[Any]
         [[list(edge), 1 - 2 * parity] for edge, parity in cls]
         for cls in diagram.edge_classes
     ]
-
-
-def _edge_classes_lines(diagram: dunwoody.GluedDiagram) -> list[str]:
-    lines = []
-    for idx, cls in enumerate(diagram.edge_classes):
-        members = " ".join(
-            f"{'+' if parity == 0 else '-'}{kind}{i}.{j}"
-            for (kind, i, j), parity in cls
-        )
-        lines.append(f"class {idx + 1}: {members}")
-    return lines
 
 
 # Largest diagram `dunwoody` builds, in glued slots n(2a + b + c); a build
@@ -347,26 +334,33 @@ def cmd_dunwoody(args: argparse.Namespace) -> int:
         "counts": list(counts),
         "criterion": criterion,
     }
-    lines = [
-        f"gluing data {params}",
-        f"counts (vertices, edge classes, faces, cells) = {counts}",
-        f"one-vertex / n-edge criterion: {'yes' if criterion else 'no'}",
-    ]
     ok = True
     if args.action == "check":
         ok = relators_match  # false too when the criterion fails
         data["relators_match"] = relators_match
-        lines.append(
-            f"relators match cyclic presentation: {'yes' if relators_match else 'no'}"
-        )
     elif criterion:
-        words = [str(w) for w in diagram.read_off_words()]
-        data["relators"] = words
-        lines.append("read-off relators: " + ", ".join(words))
+        data["relators"] = [str(w) for w in diagram.read_off_words()]
     if args.edges:
         data["edge_classes"] = _edge_classes_payload(diagram)
-        lines.extend(_edge_classes_lines(diagram))
-    _emit(args, data, "\n".join(lines))
+
+    def text() -> str:
+        lines = [
+            f"gluing data {params}",
+            f"counts (vertices, edge classes, faces, cells) = {counts}",
+            f"one-vertex / n-edge criterion: {'yes' if criterion else 'no'}",
+        ]
+        if "relators_match" in data:
+            lines.append(
+                f"relators match cyclic presentation: {'yes' if data['relators_match'] else 'no'}"
+            )
+        elif "relators" in data:
+            lines.append("read-off relators: " + ", ".join(data["relators"]))
+        for idx, cls in enumerate(data.get("edge_classes", ()), 1):
+            members = (f"{'+' if sign > 0 else '-'}{kind}{i}.{j}" for (kind, i, j), sign in cls)
+            lines.append(f"class {idx}: " + " ".join(members))
+        return "\n".join(lines)
+
+    _emit(args, data, text)
     return 0 if ok else 1
 
 
@@ -379,14 +373,14 @@ def cmd_alexander(args: argparse.Namespace) -> int:
         letters = sum(abs(e) for r in pres.relators for _, e in r.syllables)
         _refuse_over(letters, MAX_RELATOR_LETTERS, "presentation too large: {} relator letters")
     delta = foxcalc.alexander_polynomial(pres)
-    det_text = str(abs(delta(-1)))
     data = {
         "alexander": str(delta),
         "terms": [[e, c] for e, c in delta.terms()],
-        "determinant": det_text,
+        "determinant": str(abs(delta(-1))),
     }
-    human = f"Delta(t) = {delta}\ndeterminant |Delta(-1)| = {det_text}"
-    _emit(args, data, human)
+    _emit(args, data, lambda: (
+        f"Delta(t) = {data['alexander']}\ndeterminant |Delta(-1)| = {data['determinant']}"
+    ))
     return 0
 
 
@@ -410,15 +404,12 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
         "all_passed": all_passed,
     }
-    lines = [
-        f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.seconds:.2f}s): {r.detail}"
-        for r in results
-    ]
-    lines.append(
+    _emit(args, data, lambda: "\n".join([
+        *(f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.seconds:.2f}s): {r.detail}"
+          for r in results),
         f"{sum(r.passed for r in results)}/{len(results)} checks passed"
-        + ("" if all_passed else " (failure)")
-    )
-    _emit(args, data, "\n".join(lines))
+        + ("" if all_passed else " (failure)"),
+    ]))
     return 0 if all_passed else 1
 
 

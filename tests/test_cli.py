@@ -57,6 +57,37 @@ def test_tietze(capsys):
     assert "all 4 identities hold" in out
 
 
+def test_tietze_reports_a_mismatch(capsys, monkeypatch):
+    x1, x2 = freegroup.generator(3, 1), freegroup.generator(3, 2)
+    monkeypatch.setattr(presentations, "tietze_witnesses", lambda *params: [("descent[1]", x1, x2)])
+    code, out, _ = run_cli(capsys, "tietze", "3", "2", "1", "1")
+    assert code == 1
+    assert out == "descent[1]: x1 = x2  [MISMATCH]\nNOT all 1 identities hold\n"
+    code, out, _ = run_cli(capsys, "--json", "tietze", "3", "2", "1", "1")
+    assert code == 1
+    assert json.loads(out) == {
+        "witnesses": [{"label": "descent[1]", "left": "x1", "right": "x2", "equal": False}],
+        "all_equal": False,
+    }
+
+
+@pytest.mark.parametrize("command, calls", [("present 3 2 1 1", 12), ("tietze 3 2 1 1", 8)])
+def test_each_word_is_formatted_once(capsys, monkeypatch, command, calls):
+    real = freegroup.format_word
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return real(*args)
+
+    for module in (freegroup, presentations):  # every namespace that binds it
+        monkeypatch.setattr(module, "format_word", counted)
+    for flags in ([], ["--json"]):
+        seen.clear()
+        code, _, _ = run_cli(capsys, *flags, *command.split())
+        assert (code, len(seen)) == (0, calls), flags
+
+
 def test_homology_presentations(capsys):
     code, out, _ = run_cli(capsys, "--json", "homology", "cyclic", "3", "2", "1", "1")
     assert code == 0
@@ -72,6 +103,33 @@ def test_homology_writes_a_long_order_as_a_product(capsys):
     assert (code, err) == (0, "")
     assert out.endswith(" + Z/3 + Z/27009 (order 3^9004 * 27009)\n")
     assert out.count("Z/3 +") == 9004
+
+
+@pytest.mark.parametrize(
+    "torsion, size",
+    [
+        ((2,) * 9999, f"order {2**9999}"),  # 10 000 bits
+        ((2,) * 10000, "order 2^10000"),
+        ((3,) * 6309, f"order {3**6309}"),  # 10 000 bits
+        ((3,) * 6310, "order 3^6310"),  # 10 001 bits, though the bit lengths less one sum to 6 310
+    ],
+    ids=["2^9999", "2^10000", "3^6309", "3^6310"],
+)
+def test_an_order_of_over_max_order_bits_is_written_as_a_product(torsion, size):
+    assert cli._group_line(AbelianGroup(0, torsion)).endswith(f" ({size})")
+
+
+def test_a_long_order_is_written_without_multiplying(monkeypatch):
+    monkeypatch.setattr(AbelianGroup, "order", pytest.fail)
+    assert cli._group_line(AbelianGroup(0, (3,) * 40000)).endswith(" (order 3^40000)")
+
+
+@pytest.mark.parametrize("source", ["cyclic 3 2 1 1", "standard 3 2 1 1", "matrix -"])
+def test_homology_json_writes_no_text(capsys, monkeypatch, source):
+    monkeypatch.setattr(cli, "_group_line", pytest.fail)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[[4, 1], [1, 4]]"))
+    code, out, _ = run_cli(capsys, "--json", "homology", *source.split())
+    assert code == 0 and json.loads(out)["rank"] == 0
 
 
 @pytest.mark.parametrize("source", ["cyclic", "standard"])
@@ -479,6 +537,18 @@ def test_dunwoody_check(capsys):
     assert data["params"] == [1, 1, 0, 3, 1, 0]
     assert data["counts"] == [1, 3, 3, 1]
     assert data["criterion"] and data["relators_match"]
+
+
+def test_dunwoody_check_reports_unmatched_relators(capsys, monkeypatch):
+    real = dunwoody.check_seifert_diagram
+    monkeypatch.setattr(
+        dunwoody, "check_seifert_diagram", lambda cover, word: (real(cover, word)[0], False)
+    )
+    code, out, _ = run_cli(capsys, "dunwoody", "check", "3", "2", "1", "1")
+    assert code == 1
+    assert "\nrelators match cyclic presentation: no\n" in out
+    code, out, _ = run_cli(capsys, "--json", "dunwoody", "check", "3", "2", "1", "1")
+    assert code == 1 and json.loads(out)["relators_match"] is False
 
 
 def test_dunwoody_raw(capsys):
