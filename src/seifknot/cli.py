@@ -306,8 +306,13 @@ def _edge_classes_payload(diagram: dunwoody.GluedDiagram) -> list[list[list[Any]
     ]
 
 
-# Largest diagram `dunwoody` builds, in glued slots n(2a + b + c); a build
-# at the cap takes seconds and a few hundred MB.
+# Largest diagram `dunwoody` builds, in glued slots n(2a + b + c). The
+# gluing costs O(2a + b + c); the read-off and the edge listing cost
+# O(n(2a + b + c)). At the cap, in a fresh process on a 2-vCPU Xeon:
+# `--json dunwoody raw 1 1 1 250000 2 0` takes 0.11 s and 17 MiB;
+# `--json dunwoody check 500 2 1 4`, which reads off and compares 500
+# words of 2000 letters, 0.56 s and 86 MiB; the same raw call with
+# `--edges`, which lists all 10^6 edges as 92 MB of JSON, 9-11 s and 1 GiB.
 MAX_GLUED_SLOTS = 1_000_000
 
 

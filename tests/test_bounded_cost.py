@@ -49,6 +49,24 @@ def test_knot_reduce_is_bounded(capsys, knot):
     assert data["lens"] == ambient["lens"]
 
 
+@pytest.mark.parametrize(
+    "argv, seconds_bound, expected",
+    [
+        # 1 000 000 slots, the cap: 3.1 s and 276 MiB when all 2n faces were glued
+        (["raw", "1", "1", "1", "250000", "2", "0"], 0.5,
+         {"counts": [1, 1, 250000, 1], "criterion": False}),
+        # 500 words of 2000 letters: 2.7 s and 307 MiB when all 2n faces were glued
+        (["check", "500", "2", "1", "4"], 2.0,
+         {"counts": [1, 500, 500, 1], "criterion": True, "relators_match": True}),
+    ],
+    ids=["raw-at-cap", "check-500"],
+)
+def test_dunwoody_is_bounded(capsys, argv, seconds_bound, expected):
+    data, seconds = timed_json(capsys, "dunwoody", *argv)
+    assert seconds < seconds_bound
+    assert {key: data[key] for key in expected} == expected
+
+
 def test_present_is_bounded(capsys):
     # 9.1 s before: the power (x1 x2)^6000 was built by 6000 products
     data, seconds = timed_json(capsys, "present", "2", "3", "1", "6000")

@@ -571,6 +571,16 @@ def test_dunwoody_raw(capsys):
     assert code == 1 and "error" in err
 
 
+def test_dunwoody_raw_refuses_an_edge_glued_to_its_own_reverse(capsys, monkeypatch):
+    # no diagram in the sweeps of test_dunwoody.py glues an edge to its own
+    # reverse, so here every closed walk of the gluing reads a flip
+    real = dunwoody._add_to_holonomy
+    monkeypatch.setattr(dunwoody, "_add_to_holonomy", lambda n, hol, k, pi: real(n, hol, k, 1))
+    code, out, err = run_cli(capsys, "--json", "dunwoody", "raw", "1", "1", "0", "3", "1", "0")
+    assert (code, out) == (1, "")
+    assert "D(1,1,0,3,1,0)" in err and "glued to its own reverse" in err
+
+
 @pytest.mark.parametrize(
     "command, slots",
     [

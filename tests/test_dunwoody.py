@@ -1,14 +1,17 @@
 import hashlib
+import random
 from collections import Counter
 from itertools import product
 
 import pytest
 
+from direct_gluing import DirectGluedDiagram, _ParityDSU
 from seifknot.dunwoody import (
     DiagramParams,
-    _ParityDSU,
     GluedDiagram,
     GluingError,
+    _VoltageDSU,
+    _add_to_holonomy,
     check_seifert_diagram,
     expected_identifications,
 )
@@ -33,7 +36,7 @@ def test_sphere_counts():
     }
     for params, (v, e, f) in cases.items():
         a, b, c, n = params[:4]
-        diagram = GluedDiagram(DiagramParams(*params))
+        diagram = DirectGluedDiagram(DiagramParams(*params))
         vertices = len(set(diagram._tail + diagram._head))
         edges = len(diagram.edges)
         assert (vertices, edges, 2 * n) == (v, e, f)
@@ -52,7 +55,7 @@ def test_non_sphere_strand_counts_are_rejected():
 
 
 def test_boundary_cycles_cover_each_edge_twice():
-    diagram = GluedDiagram(DiagramParams(2, 1, 3, 2, 5, 0))
+    diagram = DirectGluedDiagram(DiagramParams(2, 1, 3, 2, 5, 0))
     slots = Counter()
     for i in range(2):
         for edge in diagram._upper[i] + diagram._lower[i]:
@@ -62,7 +65,7 @@ def test_boundary_cycles_cover_each_edge_twice():
 
 
 def test_boundary_cycle_length():
-    diagram = GluedDiagram(DiagramParams(2, 2, 1, 3, 3, 0))
+    diagram = DirectGluedDiagram(DiagramParams(2, 2, 1, 3, 3, 0))
     length = 2 * 2 + 2 + 1
     assert len(diagram._up_signs) == len(diagram._low_signs) == length
     for i in range(3):
@@ -338,3 +341,154 @@ def test_raw_sweep_diagrams_are_pinned():
     ]
     assert len(params) == 3072
     assert _diagram_digest(params) == RAW_SWEEP_DIGEST
+
+
+STRESS_GRID = (8, 11, 4)
+
+# strand counts a <= 3, b, c <= 4 with n <= 6, every shift, and twists one
+# beyond the residues 0..L-1 on each side
+WIDE_RAW_SWEEP = [
+    (a, b, c, n, r, s)
+    for a, b, c, n, s in product(range(4), range(5), range(5), range(1, 7), (0, 1))
+    for r in range(-1, 2 * a + b + c + 2)
+]
+
+
+def _cover_params(grid):
+    """The gluing data of each point's knot cover on the grid."""
+    params = []
+    for point in seifert_parameter_grid(*grid):
+        cover = knot_from_seifert(*point)
+        k = cover.knot
+        params.append((k.a, k.b, k.c, cover.sheets, k.r, cover.shift))
+    return params
+
+
+SWEEPS = {
+    "gate": lambda: _cover_params(GATE_GRID),
+    "stress": lambda: _cover_params(STRESS_GRID),
+    "wide-raw": lambda: WIDE_RAW_SWEEP,
+}
+
+
+def _glued(construction, params):
+    """Counts, edge locations, read-off words (or the type of the error
+    read-off raises) and slot pairs of the diagram a construction builds,
+    or the type of the error it raises."""
+    try:
+        diagram = construction(DiagramParams(*params))
+    except (ValueError, AssertionError) as exc:
+        return type(exc).__name__
+    try:
+        words = diagram.read_off_words()
+    except GluingError:
+        words = "GluingError"
+    return diagram.counts(), diagram.edge_location, words, list(diagram.slots())
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_sector_kernel_matches_direct_construction(sweep):
+    param_list = SWEEPS[sweep]()
+    assert len(param_list) == {"gate": 238, "stress": 1107, "wide-raw": 12000}[sweep]
+    for params in param_list:
+        assert _glued(GluedDiagram, params) == _glued(DirectGluedDiagram, params), params
+
+
+def _moved(params, e, j):
+    """Edge id e moved j sheets on: the same edge of the meridian, or of
+    the arc, j further round."""
+    a, b, c, n = params[:4]
+    meridian_edges = n * (2 * a + b)
+    if e < meridian_edges:
+        return (e + j * (2 * a + b)) % meridian_edges
+    return meridian_edges + (e - meridian_edges + j * c) % (n * c)
+
+
+@pytest.mark.parametrize("sweep", ["gate", "wide-raw"])
+def test_each_face_is_face_zero_moved_by_its_sheet(sweep):
+    # the symmetry the sector kernel rests on, read off the direct
+    # construction: face j's boundaries and slot pairs are face 0's moved
+    # by j sheets
+    for params in SWEEPS[sweep]():
+        try:
+            diagram = DirectGluedDiagram(DiagramParams(*params))
+        except (ValueError, AssertionError):
+            continue
+        n, length = params[3], len(diagram._up_signs)
+        slots = list(diagram.slots())
+        for j in range(n):
+            for faces in (diagram._upper, diagram._lower):
+                assert faces[j] == [_moved(params, e, j) for e in faces[0]], params
+            assert slots[j * length:(j + 1) * length] == [
+                (_moved(params, u, j), _moved(params, v, j), eps, delta)
+                for u, v, eps, delta in slots[:length]
+            ], params
+
+
+def _closure(n, generators):
+    """The subgroup of Z/n x Z/2 the generators span, by search."""
+    group, frontier = {(0, 0)}, [(0, 0)]
+    while frontier:
+        k, pi = frontier.pop()
+        for g, phi in generators:
+            element = ((k + g) % n, pi ^ phi)
+            if element not in group:
+                group.add(element)
+                frontier.append(element)
+    return group
+
+
+def _subgroup(n, holonomy):
+    """The elements of <(g, phi)> + <(0, eps)>."""
+    g, phi, eps = holonomy
+    return {(j * g % n, (j * phi) & 1 ^ e * eps) for j in range(n // g) for e in (0, 1)}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_holonomy_update_is_the_subgroup_closure(n):
+    rng = random.Random(n)
+    for _ in range(60):
+        fixed = rng.random() < 0.25  # a node the shift fixes starts at g = 1
+        holonomy = (1, 0, 0) if fixed else (n, 0, 0)
+        generators = [(1 % n, 0)] if fixed else []
+        for _ in range(rng.randint(1, 4)):
+            k, pi = rng.randrange(n), rng.randrange(2)
+            holonomy = _add_to_holonomy(n, holonomy, k, pi)
+            generators.append((k, pi))
+            assert n % holonomy[0] == 0
+            assert _subgroup(n, holonomy) == _closure(n, generators), generators
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_voltage_union_find_matches_its_lift(n):
+    # random voltage unions, flips included, against the parity union-find
+    # on the n copies of each node: the same classes, the same relative
+    # parities, and an edge forced onto its own reverse in both or neither
+    rng = random.Random(100 + n)
+    for _ in range(80):
+        size = rng.randint(1, 5)
+        voltage, lifted = _VoltageDSU(size, n), _ParityDSU(size * n)
+        consistent = True
+        for _ in range(rng.randint(1, 8)):
+            x, y, k, flip = rng.randrange(size), rng.randrange(size), rng.randrange(n), rng.randrange(2)
+            voltage.union(x, y, k, flip)
+            try:
+                for t in range(n if consistent else 0):
+                    lifted.union(x * n + t, y * n + (t + k) % n, flip)
+            except GluingError:  # and it stays, whatever is glued next
+                consistent = False
+        roots = voltage.roots()
+        assert consistent == (not any(voltage.holonomy[root][2] for root in roots))
+        if not consistent:
+            continue
+        assert voltage.classes() == lifted.classes
+        lifted_class = {}
+        for x in range(size):
+            root, offset, flip = voltage.find(x)
+            g, phi, _ = voltage.holonomy[root]
+            for t in range(n):
+                sheet = (t + offset) % n
+                parity = flip ^ (phi * (sheet // g)) & 1
+                lifted_root, lifted_parity = lifted.find(x * n + t)
+                known = lifted_class.setdefault((root, sheet % g), (lifted_root, parity ^ lifted_parity))
+                assert known == (lifted_root, parity ^ lifted_parity)
